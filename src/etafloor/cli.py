@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .decomposition import DEFAULT_THETA, classify_leading
+from .decomposition import DEFAULT_THETA, decompose_from_eta
 from .eta import ComplexPoint, eta_eval
 from .exceptions import (
     CrossCheckError,
@@ -247,11 +247,7 @@ def parse_args(argv=None) -> RunConfig:
 
 def _emit(report, cfg: RunConfig) -> None:
     data = serialize_report(report, cfg.output_format)
-    if cfg.output_path is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        write_report_bytes(data, cfg.output_path)
+    write_report_bytes(data, "-" if cfg.output_path is None else cfg.output_path)
 
 
 def _fmt_point(p: ComplexPoint) -> str:
@@ -288,19 +284,17 @@ def _run_props(cfg: RunConfig) -> int:
 
 def _run_pca(cfg: RunConfig) -> int:
     if cfg.s is not None:
-        rows = [classify_leading(cfg.s, cfg.tol, cfg.theta, cfg.engine)]
+        points = [cfg.s]
     else:
         alpha = cfg.alpha_range[0]
         lo, hi = cfg.beta_range
         if not (cfg.step > 0.0):
             raise UsageError("--step must be > 0")
         count = int(math.floor((hi - lo) / cfg.step + 1e-9)) + 1
-        rows = [
-            classify_leading(ComplexPoint(alpha, lo + i * cfg.step),
-                             cfg.tol, cfg.theta, cfg.engine)
-            for i in range(count)
-        ]
-    _emit(PcaReport(tol=cfg.tol, rows=tuple(rows)), cfg)
+        points = [ComplexPoint(alpha, lo + i * cfg.step) for i in range(count)]
+    rows = tuple(decompose_from_eta(p, eta_eval(p, cfg.tol, cfg.engine).value, cfg.theta)
+                 for p in points)
+    _emit(PcaReport(tol=cfg.tol, rows=rows), cfg)
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eta import ComplexPoint, EvalResult, LN2, as_point, eta_eval
+from .eta import ComplexPoint, LN2, as_point, eta_eval
 from .exceptions import CrossCheckError, DomainError
 
 __all__ = [
@@ -48,16 +48,9 @@ __all__ = [
     "InnerProductResult",
     "MaxStarResult",
     "second_term",
-    "tail_vector",
-    "rotated_tail",
-    "w_objective",
     "w1_component",
-    "w2_component",
-    "harmonic_coefficients",
     "inner_product_w1_w2",
-    "component_variances",
     "decompose_from_eta",
-    "classify_leading",
     "max_star_w",
     "theta_grid",
 ]
@@ -108,42 +101,10 @@ def second_term(s) -> complex:
     return -cmath.exp(1j * p.beta * LN2) / 2.0**p.alpha
 
 
-def tail_vector(s, tol: float, engine: str = "checked") -> complex:
-    """T(s) = conj(eta(s)) - 1, the n >= 2 part of the conjugated series."""
-    res = eta_eval(s, tol, engine)
-    return complex(res.value.conjugate() - 1.0)
-
-
-def rotated_tail(s, theta: float, tol: float, engine: str = "checked") -> complex:
-    """e^{i theta} T(s); the modulus is theta-invariant."""
-    return cmath.exp(1j * theta) * tail_vector(s, tol, engine)
-
-
-def w_objective(s, theta: float, tol: float, engine: str = "checked") -> float:
-    """w = Re(v) + Im(v) for the rotated tail v."""
-    v = rotated_tail(s, theta, tol, engine)
-    return v.real + v.imag
-
-
 def w1_component(s, theta: float) -> float:
     """First component -(sqrt(2)/2^alpha) cos(beta ln 2 + theta - pi/4)."""
     p = as_point(s)
     return -(SQRT2 / 2.0**p.alpha) * math.cos(p.beta * LN2 + theta - math.pi / 4.0)
-
-
-def w2_component(s, theta: float, tol: float, engine: str = "checked") -> float:
-    """Second component, always formed as w - w1."""
-    return w_objective(s, theta, tol, engine) - w1_component(s, theta)
-
-
-def harmonic_coefficients(s, tol: float, engine: str = "checked") -> tuple[complex, complex]:
-    """(c1, c2) with w1 = Re(c1 e^{i theta}) and w2 = Re(c2 e^{i theta})."""
-    p = as_point(s)
-    tail = tail_vector(p, tol, engine)
-    u2 = second_term(p)
-    c1 = SQRT2 * QUARTER_TURN * u2
-    c2 = SQRT2 * QUARTER_TURN * (tail - u2)
-    return c1, c2
 
 
 def theta_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +130,10 @@ def inner_product_w1_w2(
     The two routes must agree within tol; a larger discrepancy means the
     harmonic bookkeeping is broken, so it raises rather than returns.
     """
-    c1, c2 = harmonic_coefficients(s, tol, engine)
+    p = as_point(s)
+    dec = decompose_from_eta(p, eta_eval(p, tol, engine).value)
+    c1 = SQRT2 * QUARTER_TURN * second_term(p)
+    c2 = SQRT2 * QUARTER_TURN * dec.tail3
     nodes, weights = theta_grid(panels)
     phase = np.exp(1j * nodes)
     w1 = np.real(c1 * phase)
@@ -184,14 +148,6 @@ def inner_product_w1_w2(
             budget=tol,
         )
     return InnerProductResult(quadrature, closed)
-
-
-def component_variances(s, tol: float, engine: str = "checked") -> tuple[float, float]:
-    """Squared L2 norms of w1 and w2 over one theta-period (closed forms)."""
-    p = as_point(s)
-    tail = tail_vector(p, tol, engine)
-    tail3 = tail - second_term(p)
-    return 2.0 * math.pi / 4.0**p.alpha, 2.0 * math.pi * abs(tail3) ** 2
 
 
 def decompose_from_eta(s, eta_value: complex, theta: float = DEFAULT_THETA) -> TailDecomposition:
@@ -226,14 +182,6 @@ def decompose_from_eta(s, eta_value: complex, theta: float = DEFAULT_THETA) -> T
         inner_product=inner,
         leading=leading,
     )
-
-
-def classify_leading(
-    s, tol: float, theta: float = DEFAULT_THETA, engine: str = "checked"
-) -> TailDecomposition:
-    """Evaluate eta(s) and classify which component carries more variance."""
-    res: EvalResult = eta_eval(s, tol, engine)
-    return decompose_from_eta(s, res.value, theta)
 
 
 def max_star_w(alpha: float, tol: float) -> MaxStarResult:

@@ -9,38 +9,24 @@ declared field order (never hash order).
 
 from __future__ import annotations
 
-import io
+import dataclasses
+import functools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+import typing
+from enum import Enum
 
-from .decomposition import LeadingComponent, TailDecomposition
 from .eta import ComplexPoint, EvalResult
 from .propositions import PropSuiteResult
-from .scanner import (
-    BoundSample,
-    GridReport,
-    LineScanReport,
-    ScanFailure,
-    ZeroRecord,
-)
+from .decomposition import TailDecomposition
+from .scanner import GridReport, LineScanReport, ZeroRecord
 from .exceptions import DomainError
 
-__all__ = [
-    "EvalReport",
-    "PropsReport",
-    "PcaReport",
-    "ZeroRow",
-    "ZerosReport",
-    "serialize_report",
-    "parse_report_json",
-    "reports_equal",
-    "merge_reports",
-    "write_report_bytes",
-    "SCAN_CSV_HEADER",
-]
+__all__ = ["EvalReport", "PropsReport", "PcaReport", "ZeroRow", "ZerosReport",
+           "serialize_report", "parse_report_json", "reports_equal", "merge_reports",
+           "write_report_bytes", "SCAN_CSV_HEADER"]
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +38,7 @@ PCA_CSV_HEADER = ("alpha,beta,theta,tail_re,tail_im,tail3_re,tail3_im,"
 ZEROS_CSV_HEADER = "t,residual,engine_gap,bracket_lo,bracket_hi,angle,in_claimed_range"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EvalReport:
     s: ComplexPoint
     tol: float
@@ -60,451 +46,154 @@ class EvalReport:
     result: EvalResult
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PropsReport:
     cases: int
     seed: int
     rows: tuple[PropSuiteResult, ...]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PcaReport:
     tol: float
     rows: tuple[TailDecomposition, ...]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ZeroRow:
     record: ZeroRecord
     angle: float
     in_claimed_range: bool
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ZerosReport:
     t_range: tuple[float, float]
     tol: float
     rows: tuple[ZeroRow, ...]
 
 
-def _fnum(x: float) -> str:
-    return repr(float(x))
-
-
-def _fbool(x: bool) -> str:
-    return "true" if x else "false"
-
-
-# ----------------------------------------------------------------------------
-# dict <-> dataclass mapping (JSON payloads)
-# ----------------------------------------------------------------------------
-
-def _point_dict(p: ComplexPoint) -> dict:
-    return {"alpha": p.alpha, "beta": p.beta}
-
-
-def _point_from(d: dict) -> ComplexPoint:
-    return ComplexPoint(float(d["alpha"]), float(d["beta"]))
-
-
-def _complex_dict(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-def _complex_from(d: dict) -> complex:
-    return complex(float(d["re"]), float(d["im"]))
-
-
-def _sample_dict(b: BoundSample) -> dict:
-    return {
-        "s": _point_dict(b.s),
-        "eta_abs": b.eta_abs,
-        "floor": b.floor_value,
-        "margin": b.margin,
-        "tail_abs": b.tail_abs,
-        "tail_bound": b.tail_bound,
-        "leading": b.leading.value,
-        "tail_ineq_holds": b.tail_inequality_holds,
-    }
-
-
-def _sample_from(d: dict) -> BoundSample:
-    return BoundSample(
-        s=_point_from(d["s"]),
-        eta_abs=float(d["eta_abs"]),
-        floor_value=float(d["floor"]),
-        margin=float(d["margin"]),
-        tail_abs=float(d["tail_abs"]),
-        tail_bound=float(d["tail_bound"]),
-        leading=LeadingComponent(d["leading"]),
-        tail_inequality_holds=bool(d["tail_ineq_holds"]),
-    )
-
-
-def _failure_dict(f: ScanFailure) -> dict:
-    return {"s": _point_dict(f.s), "error": f.error, "message": f.message}
-
-
-def _failure_from(d: dict) -> ScanFailure:
-    return ScanFailure(_point_from(d["s"]), str(d["error"]), str(d["message"]))
-
-
-def _line_dict(r: LineScanReport) -> dict:
-    return {
-        "kind": "line_scan",
-        "schema": SCHEMA_VERSION,
-        "alpha": r.alpha,
-        "beta_range": list(r.beta_range),
-        "step": r.step,
-        "tol": r.tol,
-        "min_eta_abs": r.min_eta_abs,
-        "argmin_beta": r.argmin_beta,
-        "samples": [_sample_dict(s) for s in r.samples],
-        "violations": [_sample_dict(s) for s in r.violations],
-        "failures": [_failure_dict(f) for f in r.failures],
-    }
-
-
-def _line_from(d: dict) -> LineScanReport:
-    return LineScanReport(
-        alpha=float(d["alpha"]),
-        beta_range=(float(d["beta_range"][0]), float(d["beta_range"][1])),
-        step=float(d["step"]),
-        tol=float(d["tol"]),
-        samples=tuple(_sample_from(s) for s in d["samples"]),
-        min_eta_abs=float(d["min_eta_abs"]),
-        argmin_beta=float(d["argmin_beta"]),
-        violations=tuple(_sample_from(s) for s in d["violations"]),
-        failures=tuple(_failure_from(f) for f in d["failures"]),
-    )
-
-
-def _grid_dict(r: GridReport) -> dict:
-    return {
-        "kind": "grid_scan",
-        "schema": SCHEMA_VERSION,
-        "min_eta_abs": r.min_eta_abs,
-        "argmin_alpha": r.argmin_alpha,
-        "argmin_beta": r.argmin_beta,
-        "violation_count": r.violation_count,
-        "lines": [_line_dict(ln) for ln in r.lines],
-    }
-
-
-def _grid_from(d: dict) -> GridReport:
-    return GridReport(
-        lines=tuple(_line_from(ln) for ln in d["lines"]),
-        min_eta_abs=float(d["min_eta_abs"]),
-        argmin_alpha=float(d["argmin_alpha"]),
-        argmin_beta=float(d["argmin_beta"]),
-        violation_count=int(d["violation_count"]),
-    )
-
-
-def _eval_dict(r: EvalReport) -> dict:
-    return {
-        "kind": "eval",
-        "schema": SCHEMA_VERSION,
-        "s": _point_dict(r.s),
-        "tol": r.tol,
-        "engine": r.engine,
-        "value": _complex_dict(r.result.value),
-        "abs_error_estimate": r.result.abs_error_estimate,
-        "method": r.result.method,
-        "terms_used": r.result.terms_used,
-    }
-
-
-def _eval_from(d: dict) -> EvalReport:
-    return EvalReport(
-        s=_point_from(d["s"]),
-        tol=float(d["tol"]),
-        engine=str(d["engine"]),
-        result=EvalResult(
-            value=_complex_from(d["value"]),
-            abs_error_estimate=float(d["abs_error_estimate"]),
-            method=str(d["method"]),
-            terms_used=int(d["terms_used"]),
-        ),
-    )
-
-
-def _props_dict(r: PropsReport) -> dict:
-    return {
-        "kind": "props",
-        "schema": SCHEMA_VERSION,
-        "cases": r.cases,
-        "seed": r.seed,
-        "rows": [
-            {
-                "proposition": row.proposition,
-                "cases": row.cases,
-                "failures": row.failures,
-                "worst_violation": row.worst_violation,
-                "seed": row.seed,
-            }
-            for row in r.rows
-        ],
-    }
-
-
-def _props_from(d: dict) -> PropsReport:
-    return PropsReport(
-        cases=int(d["cases"]),
-        seed=int(d["seed"]),
-        rows=tuple(
-            PropSuiteResult(
-                proposition=str(row["proposition"]),
-                cases=int(row["cases"]),
-                failures=int(row["failures"]),
-                worst_violation=float(row["worst_violation"]),
-                seed=int(row["seed"]),
-            )
-            for row in d["rows"]
-        ),
-    )
-
-
-def _pca_dict(r: PcaReport) -> dict:
-    return {
-        "kind": "pca",
-        "schema": SCHEMA_VERSION,
-        "tol": r.tol,
-        "rows": [
-            {
-                "s": _point_dict(row.s),
-                "theta": row.theta,
-                "tail": _complex_dict(row.tail),
-                "tail3": _complex_dict(row.tail3),
-                "w": row.w,
-                "w1": row.w1,
-                "w2": row.w2,
-                "variance1": row.variance1,
-                "variance2": row.variance2,
-                "inner_product": row.inner_product,
-                "leading": row.leading.value,
-            }
-            for row in r.rows
-        ],
-    }
-
-
-def _pca_from(d: dict) -> PcaReport:
-    return PcaReport(
-        tol=float(d["tol"]),
-        rows=tuple(
-            TailDecomposition(
-                s=_point_from(row["s"]),
-                theta=float(row["theta"]),
-                tail=_complex_from(row["tail"]),
-                tail3=_complex_from(row["tail3"]),
-                w=float(row["w"]),
-                w1=float(row["w1"]),
-                w2=float(row["w2"]),
-                variance1=float(row["variance1"]),
-                variance2=float(row["variance2"]),
-                inner_product=float(row["inner_product"]),
-                leading=LeadingComponent(row["leading"]),
-            )
-            for row in d["rows"]
-        ),
-    )
-
-
-def _zeros_dict(r: ZerosReport) -> dict:
-    return {
-        "kind": "zeros",
-        "schema": SCHEMA_VERSION,
-        "t_range": list(r.t_range),
-        "tol": r.tol,
-        "rows": [
-            {
-                "t": row.record.t,
-                "residual": row.record.residual,
-                "engine_gap": row.record.engine_gap,
-                "bracket": list(row.record.bracket),
-                "angle": row.angle,
-                "in_claimed_range": row.in_claimed_range,
-            }
-            for row in r.rows
-        ],
-    }
-
-
-def _zeros_from(d: dict) -> ZerosReport:
-    return ZerosReport(
-        t_range=(float(d["t_range"][0]), float(d["t_range"][1])),
-        tol=float(d["tol"]),
-        rows=tuple(
-            ZeroRow(
-                record=ZeroRecord(
-                    t=float(row["t"]),
-                    residual=float(row["residual"]),
-                    engine_gap=float(row["engine_gap"]),
-                    bracket=(float(row["bracket"][0]), float(row["bracket"][1])),
-                ),
-                angle=float(row["angle"]),
-                in_claimed_range=bool(row["in_claimed_range"]),
-            )
-            for row in d["rows"]
-        ),
-    )
-
-
-_TO_DICT = {
-    LineScanReport: _line_dict,
-    GridReport: _grid_dict,
-    EvalReport: _eval_dict,
-    PropsReport: _props_dict,
-    PcaReport: _pca_dict,
-    ZerosReport: _zeros_dict,
+# report type -> (JSON kind, CSV header, CSV rows of a report, cells of a row);
+# a cell is text, an int, or a float(), which "%s" writes as its shortest round trip
+_SCHEMAS = {
+    LineScanReport: ("line_scan", SCAN_CSV_HEADER, lambda r: r.samples, lambda b: (
+        float(b.s.alpha), float(b.s.beta), float(b.eta_abs), float(b.floor_value),
+        float(b.margin), float(b.tail_abs), float(b.tail_bound), b.leading.value,
+        "true" if b.tail_inequality_holds else "false")),
+    EvalReport: ("eval", EVAL_CSV_HEADER, lambda r: (r,), lambda r: (
+        float(r.s.alpha), float(r.s.beta), float(r.result.value.real),
+        float(r.result.value.imag), float(r.result.abs_error_estimate), r.result.method,
+        r.result.terms_used)),
+    PropsReport: ("props", PROPS_CSV_HEADER, lambda r: r.rows, lambda p: (
+        p.proposition, p.cases, p.failures, float(p.worst_violation), p.seed,
+        "true" if p.passed else "false")),
+    PcaReport: ("pca", PCA_CSV_HEADER, lambda r: r.rows, lambda d: (
+        float(d.s.alpha), float(d.s.beta), float(d.theta), float(d.tail.real),
+        float(d.tail.imag), float(d.tail3.real), float(d.tail3.imag), float(d.w), float(d.w1),
+        float(d.w2), float(d.variance1), float(d.variance2), float(d.inner_product),
+        d.leading.value)),
+    ZerosReport: ("zeros", ZEROS_CSV_HEADER, lambda r: r.rows, lambda z: (
+        float(z.record.t), float(z.record.residual), float(z.record.engine_gap),
+        float(z.record.bracket[0]), float(z.record.bracket[1]), float(z.angle),
+        "true" if z.in_claimed_range else "false")),
 }
-
-_FROM_DICT = {
-    "line_scan": _line_from,
-    "grid_scan": _grid_from,
-    "eval": _eval_from,
-    "props": _props_from,
-    "pca": _pca_from,
-    "zeros": _zeros_from,
-}
+_SCHEMAS[GridReport] = ("grid_scan", SCAN_CSV_HEADER,  # the rows of every line, in order
+                        lambda r: [b for ln in r.lines for b in ln.samples],
+                        _SCHEMAS[LineScanReport][3])
+_REPORT_OF_KIND = {schema[0]: cls for cls, schema in _SCHEMAS.items()}
+# JSON's departures from the field layout: renamed keys, members inlined into their parent
+_RENAMED = {"floor_value": "floor", "tail_inequality_holds": "tail_ineq_holds"}
+_INLINED = {(EvalReport, "result"), (ZeroRow, "record")}
 
 
-# ----------------------------------------------------------------------------
-# CSV writers
-# ----------------------------------------------------------------------------
-
-def _scan_csv_rows(out: io.StringIO, lines) -> None:
-    out.write(SCAN_CSV_HEADER + "\n")
-    for line in lines:
-        for b in line.samples:
-            out.write(
-                ",".join(
-                    (
-                        _fnum(b.s.alpha),
-                        _fnum(b.s.beta),
-                        _fnum(b.eta_abs),
-                        _fnum(b.floor_value),
-                        _fnum(b.margin),
-                        _fnum(b.tail_abs),
-                        _fnum(b.tail_bound),
-                        b.leading.value,
-                        _fbool(b.tail_inequality_holds),
-                    )
-                )
-                + "\n"
-            )
+@functools.cache
+def _plan(cls) -> tuple[tuple[str, str, bool, typing.Any, typing.Callable], ...]:
+    """(attribute, JSON key, inlined, type, reader) per field, in declared order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _RENAMED.get(f.name, f.name), (cls, f.name) in _INLINED,
+                  hints[f.name], _reader(hints[f.name])) for f in dataclasses.fields(cls))
 
 
-def _to_csv(report) -> str:
-    out = io.StringIO()
-    if isinstance(report, LineScanReport):
-        _scan_csv_rows(out, (report,))
-    elif isinstance(report, GridReport):
-        _scan_csv_rows(out, report.lines)
-    elif isinstance(report, EvalReport):
-        out.write(EVAL_CSV_HEADER + "\n")
-        r = report.result
-        out.write(
-            ",".join(
-                (
-                    _fnum(report.s.alpha),
-                    _fnum(report.s.beta),
-                    _fnum(r.value.real),
-                    _fnum(r.value.imag),
-                    _fnum(r.abs_error_estimate),
-                    r.method,
-                    str(r.terms_used),
-                )
-            )
-            + "\n"
-        )
-    elif isinstance(report, PropsReport):
-        out.write(PROPS_CSV_HEADER + "\n")
-        for row in report.rows:
-            out.write(
-                ",".join(
-                    (
-                        row.proposition,
-                        str(row.cases),
-                        str(row.failures),
-                        _fnum(row.worst_violation),
-                        str(row.seed),
-                        _fbool(row.passed),
-                    )
-                )
-                + "\n"
-            )
-    elif isinstance(report, PcaReport):
-        out.write(PCA_CSV_HEADER + "\n")
-        for row in report.rows:
-            out.write(
-                ",".join(
-                    (
-                        _fnum(row.s.alpha),
-                        _fnum(row.s.beta),
-                        _fnum(row.theta),
-                        _fnum(row.tail.real),
-                        _fnum(row.tail.imag),
-                        _fnum(row.tail3.real),
-                        _fnum(row.tail3.imag),
-                        _fnum(row.w),
-                        _fnum(row.w1),
-                        _fnum(row.w2),
-                        _fnum(row.variance1),
-                        _fnum(row.variance2),
-                        _fnum(row.inner_product),
-                        row.leading.value,
-                    )
-                )
-                + "\n"
-            )
-    elif isinstance(report, ZerosReport):
-        out.write(ZEROS_CSV_HEADER + "\n")
-        for row in report.rows:
-            out.write(
-                ",".join(
-                    (
-                        _fnum(row.record.t),
-                        _fnum(row.record.residual),
-                        _fnum(row.record.engine_gap),
-                        _fnum(row.record.bracket[0]),
-                        _fnum(row.record.bracket[1]),
-                        _fnum(row.angle),
-                        _fbool(row.in_claimed_range),
-                    )
-                )
-                + "\n"
-            )
-    else:
-        raise DomainError(f"no CSV schema for report type {type(report).__name__}")
-    return out.getvalue()
+def _json_default(value, out: dict | None = None):
+    """JSON encoder hook for dataclasses and complex numbers; inlined members fill `out`."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    cls = value.__class__
+    if out is None:
+        out = {"kind": _SCHEMAS[cls][0], "schema": SCHEMA_VERSION} if cls in _SCHEMAS else {}
+    for name, key, inlined, _, _ in _plan(cls):
+        if inlined:
+            _json_default(getattr(value, name), out)
+        else:
+            out[key] = getattr(value, name)
+    return out
 
 
-# ----------------------------------------------------------------------------
-# public API
-# ----------------------------------------------------------------------------
+def _read_leaf(hint: type, value):
+    """A JSON scalar as a `hint` (float, int, bool or str); integers pass as floats."""
+    if value.__class__ is hint or (hint is float and value.__class__ is int):
+        return hint(value)
+    raise TypeError(f"expected {hint.__name__}, got {value!r}")
+
+
+def _reader(hint):
+    """The function from a JSON value to the value of a field typed `hint`."""
+    if hint is complex:
+        return lambda obj: complex(_read_leaf(float, obj["re"]), _read_leaf(float, obj["im"]))
+    if hint in (float, int, bool, str):
+        return functools.partial(_read_leaf, hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_from_json, hint)
+    args = typing.get_args(hint)  # tuple[X, ...] or tuple[X, Y]
+    items = [_reader(a) for a in args if a is not Ellipsis]
+    variadic = args[-1] is Ellipsis
+
+    def read_tuple(value):
+        if not isinstance(value, list) or not (variadic or len(value) == len(items)):
+            raise TypeError(f"expected {hint}, got {value!r}")
+        return tuple(read(x) for read, x in zip(items * len(value) if variadic else items, value))
+    return read_tuple
+
+
+def _from_json(cls, obj):
+    # a JSON value that already has its field's type needs no reader
+    return cls(**{name: value if (value := obj if inlined else obj[key]).__class__ is hint
+                  else read(value) for name, key, inlined, hint, read in _plan(cls)})
+
 
 def serialize_report(report, output_format: str = "json") -> bytes:
     """Deterministic bytes for a report; identical report -> identical bytes."""
+    if output_format not in ("json", "csv"):
+        raise DomainError(f"unknown output format {output_format!r}; expected csv or json")
+    if type(report) not in _SCHEMAS:
+        raise DomainError(f"no {output_format.upper()} schema for {type(report).__name__}")
     if output_format == "json":
-        to_dict = _TO_DICT.get(type(report))
-        if to_dict is None:
-            raise DomainError(f"no JSON schema for report type {type(report).__name__}")
-        return (json.dumps(to_dict(report), separators=(",", ":")) + "\n").encode("utf-8")
-    if output_format == "csv":
-        return _to_csv(report).encode("utf-8")
-    raise DomainError(f"unknown output format {output_format!r}; expected csv or json")
+        return (json.dumps(report, separators=(",", ":"), default=_json_default) + "\n").encode()
+    _, header, rows, cells = _SCHEMAS[type(report)]
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    return (header + "\n" + "".join([line % cells(row) for row in rows(report)])).encode()
 
 
 def parse_report_json(data: bytes | str):
-    """Inverse of serialize_report(..., 'json'): structurally equal round trip."""
-    obj = json.loads(data)
-    kind = obj.get("kind")
-    from_dict = _FROM_DICT.get(kind)
-    if from_dict is None:
-        raise DomainError(f"unknown report kind {kind!r}")
-    return from_dict(obj)
+    """Inverse of serialize_report(..., 'json'): structurally equal round trip.
+    Anything but a well-formed schema-1 report raises DomainError."""
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:
+        raise DomainError(f"report is not JSON: {exc}") from None
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _REPORT_OF_KIND:
+        raise DomainError(f"not a report: unknown kind {kind!r}")
+    if obj.get("schema") != SCHEMA_VERSION:
+        raise DomainError(f"unsupported {kind} report schema {obj.get('schema')!r}")
+    try:
+        return _from_json(_REPORT_OF_KIND[kind], obj)
+    except KeyError as exc:
+        raise DomainError(f"malformed {kind} report: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed {kind} report: {exc}") from None
 
 
 def reports_equal(a, b) -> bool:

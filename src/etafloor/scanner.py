@@ -92,20 +92,20 @@ class LineScanReport:
     beta_range: tuple[float, float]
     step: float
     tol: float
-    samples: tuple[BoundSample, ...]
     min_eta_abs: float
     argmin_beta: float
+    samples: tuple[BoundSample, ...]
     violations: tuple[BoundSample, ...]
     failures: tuple[ScanFailure, ...]
 
 
 @dataclass(frozen=True)
 class GridReport:
-    lines: tuple[LineScanReport, ...]
     min_eta_abs: float
     argmin_alpha: float
     argmin_beta: float
     violation_count: int
+    lines: tuple[LineScanReport, ...]
 
 
 @dataclass(frozen=True)
@@ -408,20 +408,48 @@ def _abs_eta_chunk(args: tuple) -> list[float]:
     return out
 
 
-def _refine_zero_basin(
-    lo: float, hi: float, eval_tol: float, engine: str, xtol: float
-) -> tuple[float, float]:
-    def f_abs(t: float) -> float:
-        return abs(eta_eval(ComplexPoint(0.5, t), eval_tol, engine).value)
-
-    return golden_section_min(f_abs, lo, hi, xtol)
-
-
 def _engine_gap_at(t: float, eval_tol: float) -> float:
     s = ComplexPoint(0.5, t)
     v1 = eta_euler(s, eval_tol).value
     v2 = eta_accel(s, accel_stages_for(s, eval_tol)).value
     return abs(v1 - v2)
+
+
+def _zero_candidates(
+    t_lo: float, t_hi: float, tol: float, grid_step: float, workers: int, engine: str,
+    whole_bracket: bool,
+) -> list[tuple[float, float, float]]:
+    """(t, residual, engine gap) at every refined minimum of |eta(1/2 + i t)|.
+
+    The grid t_lo + i*grid_step is sampled in worker chunks, every interior
+    local minimum is refined by golden section, and the Euler/Chebyshev gap is
+    measured wherever the residual is below tol (elsewhere it is inf).  With
+    `whole_bracket`, a grid without interior minima refines [t_lo, t_hi] itself.
+    """
+    if not (tol > 0.0):
+        raise DomainError("tol must be > 0")
+    workers = _resolve_workers(workers)
+    eval_tol = max(tol / 100.0, 1e-12)
+    count = _beta_grid_count(t_lo, t_hi, grid_step)
+    chunks = _index_chunks(count, workers)
+    arg_sets = [(t_lo, grid_step, i0, i1, eval_tol, engine) for (i0, i1) in chunks]
+    f_values: list[float] = []
+    for part in _run_chunked(_abs_eta_chunk, arg_sets, workers):
+        f_values.extend(part)
+    ts = [t_lo + i * grid_step for i in range(count)]
+    brackets = [(ts[i - 1], ts[i + 1]) for i in _local_minima(f_values)]
+    if whole_bracket and not brackets:
+        brackets = [(t_lo, t_hi)]
+
+    def f_abs(t: float) -> float:
+        return abs(eta_eval(ComplexPoint(0.5, t), eval_tol, engine).value)
+
+    candidates = []
+    for lo, hi in brackets:
+        t_star, residual = golden_section_min(f_abs, lo, hi, ZERO_REFINE_XTOL)
+        gap = _engine_gap_at(t_star, eval_tol) if residual < tol else math.inf
+        candidates.append((t_star, residual, gap))
+    return candidates
 
 
 def survey_zeros(
@@ -441,29 +469,12 @@ def survey_zeros(
     """
     if not (0.0 <= t_lo < t_hi):
         raise DomainError("need 0 <= t_lo < t_hi")
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
-    workers = _resolve_workers(workers)
-    eval_tol = max(tol / 100.0, 1e-12)
-    count = _beta_grid_count(t_lo, t_hi, grid_step)
-    chunks = _index_chunks(count, workers)
-    arg_sets = [(t_lo, grid_step, i0, i1, eval_tol, engine) for (i0, i1) in chunks]
-    f_values: list[float] = []
-    for part in _run_chunked(_abs_eta_chunk, arg_sets, workers):
-        f_values.extend(part)
-    ts = [t_lo + i * grid_step for i in range(count)]
-
-    records = []
-    for i in _local_minima(f_values):
-        t_star, residual = _refine_zero_basin(
-            ts[i - 1], ts[i + 1], eval_tol, engine, ZERO_REFINE_XTOL
-        )
-        if residual >= tol:
-            continue
-        gap = _engine_gap_at(t_star, eval_tol)
-        if gap <= ZERO_ENGINE_GAP_LIMIT:
-            records.append(ZeroRecord(t_star, residual, gap, (t_lo, t_hi)))
-    return records
+    return [
+        ZeroRecord(t, residual, gap, (t_lo, t_hi))
+        for t, residual, gap in _zero_candidates(t_lo, t_hi, tol, grid_step, workers, engine,
+                                                 whole_bracket=False)
+        if gap <= ZERO_ENGINE_GAP_LIMIT
+    ]
 
 
 def locate_zero(
@@ -476,31 +487,15 @@ def locate_zero(
 ) -> ZeroRecord:
     """Best zero candidate inside one bracket, or NoZeroFoundError.
 
-    Grid plus golden section on f(t) = |eta(1/2 + i t)|; the returned record
-    certifies residual < tol with the two accelerated engines agreeing within
-    1e-9 at the refined ordinate.
+    The survey's grid plus golden section on f(t) = |eta(1/2 + i t)|, keeping
+    the candidate of least residual; the returned record certifies
+    residual < tol with the two accelerated engines agreeing within 1e-9 at
+    the refined ordinate, and CrossCheckError reports a disagreement.
     """
     if not (0.0 < t_lo < t_hi):
         raise DomainError("need 0 < t_lo < t_hi")
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
-    eval_tol = max(tol / 100.0, 1e-12)
-    count = _beta_grid_count(t_lo, t_hi, grid_step)
-    ts = [t_lo + i * grid_step for i in range(count)]
-    if ts[-1] < t_hi:
-        ts.append(t_hi)
-    f_values = [
-        abs(eta_eval(ComplexPoint(0.5, t), eval_tol, engine).value) for t in ts
-    ]
-    basins = _local_minima(f_values)
-    candidates = []
-    for i in basins:
-        candidates.append(_refine_zero_basin(ts[i - 1], ts[i + 1], eval_tol, engine,
-                                             ZERO_REFINE_XTOL))
-    # the whole bracket itself, in case the minimum sits against an endpoint
-    if not candidates:
-        candidates.append(_refine_zero_basin(t_lo, t_hi, eval_tol, engine, ZERO_REFINE_XTOL))
-    t_star, residual = min(candidates, key=lambda c: (c[1], c[0]))
+    candidates = _zero_candidates(t_lo, t_hi, tol, grid_step, 1, engine, whole_bracket=True)
+    t_star, residual, gap = min(candidates, key=lambda c: (c[1], c[0]))
     if residual >= tol:
         raise NoZeroFoundError(
             f"no point of [{t_lo}, {t_hi}] has |eta(1/2+it)| below {tol:g} "
@@ -508,7 +503,6 @@ def locate_zero(
             best_t=t_star,
             best_residual=residual,
         )
-    gap = _engine_gap_at(t_star, eval_tol)
     if gap > ZERO_ENGINE_GAP_LIMIT:
         raise CrossCheckError(
             f"engines disagree at candidate zero t={t_star!r}: gap {gap:g}",

@@ -24,7 +24,14 @@ from etafloor.reporting import (
     merge_reports,
     serialize_report,
 )
-from etafloor.scanner import LineScanReport, ScanFailure, scan_grid, scan_line, survey_zeros, zero_geometry
+from etafloor.scanner import (
+    LineScanReport,
+    ScanFailure,
+    scan_grid,
+    scan_line,
+    survey_zeros,
+    zero_geometry,
+)
 
 HERE = Path(__file__).resolve().parent
 

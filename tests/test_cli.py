@@ -1,6 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+import json
 import subprocess
 import sys
 
@@ -257,6 +258,25 @@ class TestReportCommand:
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.json")]) == 74
+
+    @pytest.mark.parametrize("mangle", [
+        lambda obj: b"not json",
+        lambda obj: b"[1, 2]",
+        lambda obj: b'{"kind": "eval", "schema": 1}',
+        lambda obj: json.dumps({**obj, "terms_used": "7"}).encode(),
+        lambda obj: json.dumps({**obj, "s": [2.0, 0.0]}).encode(),
+        lambda obj: json.dumps({**obj, "schema": 2}).encode(),
+        lambda obj: json.dumps({**obj, "kind": "bogus"}).encode(),
+    ], ids=["not-json", "not-object", "missing-keys", "typed-leaf", "typed-member",
+            "schema-2", "unknown-kind"])
+    def test_malformed_report_is_usage_error(self, tmp_path, capsys, mangle):
+        good = tmp_path / "good.json"
+        assert main(["eval", "--s", "2+0i", "--output", str(good)]) == EXIT_OK
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(mangle(json.loads(good.read_bytes())))
+        assert main(["report", str(bad), str(good), "--compare"]) == EXIT_USAGE
+        assert main(["report", str(good), str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("etafloor: invalid parameter: ")
 
 
 class TestModuleEntryPoint:

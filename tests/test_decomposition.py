@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,20 +8,14 @@ from hypothesis import strategies as st
 
 from etafloor.decomposition import (
     LeadingComponent,
-    classify_leading,
-    component_variances,
-    harmonic_coefficients,
+    decompose_from_eta,
     inner_product_w1_w2,
     max_star_w,
-    rotated_tail,
     second_term,
-    tail_vector,
     theta_grid,
     w1_component,
-    w2_component,
-    w_objective,
 )
-from etafloor.eta import ComplexPoint, eta_eval
+from etafloor.eta import ComplexPoint, as_point, eta_eval
 from etafloor.scanner import golden_section_min
 
 LN2 = math.log(2.0)
@@ -38,66 +33,82 @@ strip_beta = st.floats(min_value=-50.0, max_value=50.0)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
 
+def decompose(s, tol, theta=math.pi / 4):
+    """The decomposition kernel at one checked evaluation of eta(s)."""
+    p = as_point(s)
+    return decompose_from_eta(p, eta_eval(p, tol).value, theta)
+
+
+def coefficients(dec):
+    """(c1, c2) with w1 = Re(c1 e^{i theta}) and w2 = Re(c2 e^{i theta})."""
+    turn = SQRT2 * cmath.exp(-1j * math.pi / 4)
+    return turn * second_term(dec.s), turn * dec.tail3
+
+
 class TestTailVector:
     def test_at_one(self):
-        assert tail_vector(1.0, 1e-12) == pytest.approx(TAIL_1, abs=1e-12)
+        assert decompose(1.0, 1e-12).tail == pytest.approx(TAIL_1, abs=1e-12)
 
     def test_at_two(self):
-        assert tail_vector(2.0, 1e-12) == pytest.approx(TAIL_2, abs=1e-11)
+        assert decompose(2.0, 1e-12).tail == pytest.approx(TAIL_2, abs=1e-11)
 
     def test_index_shift_identity(self):
         s = ComplexPoint(0.8, 17.0)
         tol = 1e-10
         expected = eta_eval(s, tol).value.conjugate() - 1.0
-        assert abs(tail_vector(s, tol) - expected) <= 2 * tol
+        assert abs(decompose(s, tol).tail - expected) <= 2 * tol
 
 
 class TestRotatedTail:
+    # w(theta) = Re v + Im v of the rotated tail v = e^{i theta} T, so on the
+    # real axis w(0) = T and w(pi) = -T, and w(theta)^2 + w(theta + pi/2)^2 = 2|T|^2
+
     def test_identity_rotation(self):
-        assert rotated_tail(1.0, 0.0, 1e-12) == pytest.approx(TAIL_1, abs=1e-12)
+        assert decompose(1.0, 1e-12, 0.0).w == pytest.approx(TAIL_1, abs=1e-12)
 
     def test_half_turn(self):
-        assert rotated_tail(1.0, math.pi, 1e-12) == pytest.approx(1.0 - LN2, abs=1e-12)
+        assert decompose(1.0, 1e-12, math.pi).w == pytest.approx(1.0 - LN2, abs=1e-12)
 
     def test_modulus_invariance_point(self):
         s = ComplexPoint(0.5, 5.0)
-        assert abs(rotated_tail(s, math.pi / 3, 1e-10)) == pytest.approx(
-            abs(tail_vector(s, 1e-10)), abs=1e-12
-        )
+        value = eta_eval(s, 1e-10).value
+        a = decompose_from_eta(s, value, math.pi / 3)
+        b = decompose_from_eta(s, value, math.pi / 3 + math.pi / 2)
+        assert a.tail == b.tail == decompose_from_eta(s, value).tail
+        assert math.hypot(a.w, b.w) == pytest.approx(SQRT2 * abs(a.tail), abs=1e-12)
 
     @given(strip_alpha, strip_beta, angles)
     def test_modulus_invariance(self, alpha, beta, theta):
         s = ComplexPoint(alpha, beta)
-        t = abs(tail_vector(s, 1e-9))
-        v = abs(rotated_tail(s, theta, 1e-9))
-        assert v == pytest.approx(t, abs=1e-12 * (1.0 + t))
+        value = eta_eval(s, 1e-9).value
+        a = decompose_from_eta(s, value, theta)
+        b = decompose_from_eta(s, value, theta + math.pi / 2)
+        t = SQRT2 * abs(a.tail)
+        assert math.hypot(a.w, b.w) == pytest.approx(t, abs=1e-12 * (1.0 + t))
 
 
 class TestWObjective:
     def test_quarter_turn_at_one(self):
-        assert w_objective(1.0, math.pi / 4, 1e-12) == pytest.approx(
-            W_1_QUARTER, abs=1e-12
-        )
+        assert decompose(1.0, 1e-12, math.pi / 4).w == pytest.approx(W_1_QUARTER, abs=1e-12)
 
     @given(strip_alpha, strip_beta, angles)
     def test_defining_identity(self, alpha, beta, theta):
-        s = ComplexPoint(alpha, beta)
-        v = rotated_tail(s, theta, 1e-9)
-        assert w_objective(s, theta, 1e-9) == pytest.approx(
-            v.real + v.imag, abs=1e-12 * (1 + abs(v))
-        )
+        dec = decompose(ComplexPoint(alpha, beta), 1e-9, theta)
+        v = cmath.exp(1j * theta) * dec.tail
+        assert dec.w == pytest.approx(v.real + v.imag, abs=1e-12 * (1 + abs(v)))
 
     def test_theta_maximum_equals_tail_modulus(self):
         # max over theta of w = sqrt(2) |T|: 256-point grid + golden refinement
         s = ComplexPoint(0.7, 21.0)
-        tail_mod = abs(tail_vector(s, 1e-11))
+        value = eta_eval(s, 1e-11).value
+        tail_mod = abs(decompose_from_eta(s, value).tail)
         thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-        values = [w_objective(s, t, 1e-11) for t in thetas]
+        values = [decompose_from_eta(s, value, t).w for t in thetas]
         i = int(np.argmax(values))
         lo, hi = thetas[i] - 2 * math.pi / 256, thetas[i] + 2 * math.pi / 256
 
         def neg_w(theta):
-            return -w_objective(s, theta, 1e-11)
+            return -decompose_from_eta(s, value, theta).w
 
         _, neg_max = golden_section_min(neg_w, lo, hi, 1e-9)
         assert -neg_max == pytest.approx(SQRT2 * tail_mod, abs=1e-9)
@@ -115,20 +126,19 @@ class TestComponents:
         assert periodic == pytest.approx(-SQRT2 / 2, abs=1e-12)
 
     def test_w2_at_one(self):
-        assert w2_component(1.0, math.pi / 4, 1e-12) == pytest.approx(
-            W2_1_QUARTER, abs=1e-12
-        )
+        assert decompose(1.0, 1e-12, math.pi / 4).w2 == pytest.approx(W2_1_QUARTER, abs=1e-12)
 
     def test_w2_vanishes_at_large_alpha(self):
-        assert abs(w2_component(30.0, 1.1, 1e-12)) < 1e-8
+        assert abs(decompose(30.0, 1e-12, 1.1).w2) < 1e-8
 
     @given(strip_alpha, strip_beta, angles)
     def test_w1_plus_w2_is_w(self, alpha, beta, theta):
         s = ComplexPoint(alpha, beta)
-        w1 = w1_component(s, theta)
-        w2 = w2_component(s, theta, 1e-9)
-        w = w_objective(s, theta, 1e-9)
-        assert w1 + w2 == pytest.approx(w, abs=1e-12 * (1 + abs(w)))
+        dec = decompose(s, 1e-9, theta)
+        v = cmath.exp(1j * theta) * dec.tail
+        w = v.real + v.imag
+        assert dec.w1 == w1_component(s, theta)
+        assert dec.w1 + dec.w2 == pytest.approx(w, abs=1e-12 * (1 + abs(w)))
 
 
 class TestInnerProduct:
@@ -145,7 +155,7 @@ class TestInnerProduct:
     def test_origin_shift_invariance(self):
         # integral over a full period does not depend on where theta starts
         s = ComplexPoint(0.8, 11.0)
-        c1, c2 = harmonic_coefficients(s, 1e-10)
+        c1, c2 = coefficients(decompose(s, 1e-10))
         nodes, weights = theta_grid(4096)
         for shift in (0.0, 0.37, 1.9):
             w1 = np.real(c1 * np.exp(1j * (nodes + shift)))
@@ -163,7 +173,7 @@ class TestInnerProduct:
 
 class TestClassifyLeading:
     def test_alpha_two_is_w1(self):
-        dec = classify_leading(2.0, 1e-10)
+        dec = decompose(2.0, 1e-10)
         assert dec.leading is LeadingComponent.W1
         assert dec.variance1 == pytest.approx(2 * math.pi / 16.0, abs=1e-15)
         assert abs(dec.tail3) == pytest.approx(0.07246703342411309, abs=1e-10)
@@ -172,21 +182,21 @@ class TestClassifyLeading:
         )
 
     def test_variance1_at_half(self):
-        assert component_variances(0.5, 1e-10)[0] == pytest.approx(math.pi, abs=1e-14)
+        assert decompose(0.5, 1e-10).variance1 == pytest.approx(math.pi, abs=1e-14)
 
     def test_small_alpha_recorded(self):
-        dec = classify_leading(0.05, 1e-8)
+        dec = decompose(0.05, 1e-8)
         assert dec.leading in (LeadingComponent.W1, LeadingComponent.W2)
 
     def test_w_identity_in_record(self):
-        dec = classify_leading(ComplexPoint(0.9, 33.0), 1e-10)
+        dec = decompose(ComplexPoint(0.9, 33.0), 1e-10)
         assert dec.w == dec.w1 + dec.w2
         assert dec.tail == pytest.approx(dec.tail3 + second_term(dec.s), abs=1e-15)
 
     def test_variances_match_quadrature(self):
         s = ComplexPoint(0.62, 24.0)
-        dec = classify_leading(s, 1e-10)
-        c1, c2 = harmonic_coefficients(s, 1e-10)
+        dec = decompose(s, 1e-10)
+        c1, c2 = coefficients(dec)
         nodes, weights = theta_grid(4096)
         v1 = float(np.dot(weights, np.real(c1 * np.exp(1j * nodes)) ** 2))
         v2 = float(np.dot(weights, np.real(c2 * np.exp(1j * nodes)) ** 2))

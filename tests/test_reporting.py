@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etafloor.decomposition import classify_leading
+from etafloor.decomposition import decompose_from_eta
 from etafloor.eta import ComplexPoint, eta_eval
 from etafloor.exceptions import DomainError
 from etafloor.propositions import run_all_suites
@@ -83,7 +83,8 @@ class TestRoundTrip:
         assert reports_equal(parsed, report)
 
     def test_pca(self):
-        rows = (classify_leading(1.5, 1e-10), classify_leading(ComplexPoint(0.5, 9.0), 1e-10))
+        points = (ComplexPoint(1.5, 0.0), ComplexPoint(0.5, 9.0))
+        rows = tuple(decompose_from_eta(p, eta_eval(p, 1e-10).value) for p in points)
         report = PcaReport(tol=1e-10, rows=rows)
         parsed = parse_report_json(serialize_report(report, "json"))
         assert reports_equal(parsed, report)
