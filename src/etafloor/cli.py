@@ -13,7 +13,6 @@ Exit codes: 0 success/clean scan; 2 bound violation found under --strict;
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ from .reporting import (
     serialize_report,
     write_report_bytes,
 )
-from .scanner import scan_grid, scan_line, survey_zeros, zero_geometry
+from .scanner import _grid_count, scan_grid, scan_line, survey_zeros, zero_geometry
 
 __all__ = ["RunConfig", "UsageError", "parse_args", "run", "main"]
 
@@ -290,7 +289,7 @@ def _run_pca(cfg: RunConfig) -> int:
         lo, hi = cfg.beta_range
         if not (cfg.step > 0.0):
             raise UsageError("--step must be > 0")
-        count = int(math.floor((hi - lo) / cfg.step + 1e-9)) + 1
+        count = _grid_count(lo, hi, cfg.step)
         points = [ComplexPoint(alpha, lo + i * cfg.step) for i in range(count)]
     rows = tuple(decompose_from_eta(p, eta_eval(p, cfg.tol, cfg.engine).value, cfg.theta)
                  for p in points)

@@ -15,7 +15,8 @@ oracles for each other:
   series", Exp. Math. 9 (2000)): with d_n the Chebyshev polynomial T_n(3),
   eta(s) ~ (1/d_n) sum_{k<n} (-1)^k (d_n - d_k) (k+1)^(-s).  The truncation
   error decays like (3+sqrt(8))^(-n) times the total variation of the
-  representing measure, Gamma(alpha)/|Gamma(s)|.
+  representing measure, Gamma(alpha)/|Gamma(s)|, where ln|Gamma| comes from
+  an in-house Stirling series.
 
 Error certificates: accelerated engines report a heuristic estimate
 (last-correction magnitude x 10, or the Chebyshev truncation model) plus a
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .exceptions import (
     CrossCheckError,
@@ -63,6 +63,10 @@ EPS = float(np.finfo(np.float64).eps)
 
 _DELTA = 3.0 + math.sqrt(8.0)
 _LN_DELTA = math.log(_DELTA)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k-1)), k = 1..8
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
 
 ENGINES = ("partial", "euler", "accel", "checked")
 
@@ -320,10 +324,28 @@ def _crvz_weights(n: int) -> np.ndarray:
     return weights
 
 
+def _log_abs_gamma(s: complex) -> float:
+    """ln|Gamma(s)| for Re s > 0: shift up to |z| >= 17, then Stirling's series."""
+    z, shifted = s, 1.0
+    while abs(z) < 17.0:
+        shifted *= abs(z)
+        z += 1.0
+    w = 1.0 / z
+    w2 = w * w
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * w2 + c
+    return ((z - 0.5) * cmath.log(z) - z + series * w).real + _HALF_LN_2PI - math.log(shifted)
+
+
+def _log_total_variation(s: complex) -> float:
+    """ln(Gamma(alpha)/|Gamma(s)|), the Chebyshev error model's measure size."""
+    return math.lgamma(s.real) - _log_abs_gamma(s)
+
+
 def _chebyshev_truncation(s: complex, n: int) -> float:
     """2 (3+sqrt 8)^(-n) Gamma(alpha)/|Gamma(s)|: the total-variation error model."""
-    log_tv = math.lgamma(s.real) - float(loggamma(s).real)
-    return 2.0 * math.exp(min(700.0, log_tv - n * _LN_DELTA))
+    return 2.0 * math.exp(min(700.0, _log_total_variation(s) - n * _LN_DELTA))
 
 
 def accel_stages_for(s: PointLike, tol: float) -> int:
@@ -333,7 +355,7 @@ def accel_stages_for(s: PointLike, tol: float) -> int:
     _require_alpha_positive(p)
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
-    log_tv = math.lgamma(p.alpha) - float(loggamma(p.to_complex()).real)
+    log_tv = _log_total_variation(p.to_complex())
     n = int(math.ceil((log_tv + math.log(2.0 / tol)) / _LN_DELTA)) + 4
     n = ((max(n, 8) + 31) // 32) * 32
     return n

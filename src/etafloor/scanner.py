@@ -193,18 +193,18 @@ def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _line_chunk(args: tuple) -> tuple[list[BoundSample], list[ScanFailure]]:
+def _line_chunk(args: tuple) -> list[BoundSample | ScanFailure]:
+    """One row per grid index i0..i1-1, a ScanFailure where the sample failed."""
     alpha, beta_min, step, i0, i1, tol, engine = args
-    samples: list[BoundSample] = []
-    failures: list[ScanFailure] = []
+    rows: list[BoundSample | ScanFailure] = []
     for i in range(i0, i1):
         beta = beta_min + i * step
         point = ComplexPoint(alpha, beta)
         try:
-            samples.append(tail_inequality_check(point, tol, engine))
+            rows.append(tail_inequality_check(point, tol, engine))
         except EtaFloorError as exc:
-            failures.append(ScanFailure(point, type(exc).__name__, str(exc)))
-    return samples, failures
+            rows.append(ScanFailure(point, type(exc).__name__, str(exc)))
+    return rows
 
 
 def _run_chunked(worker: Callable, arg_sets: list[tuple], workers: int) -> list:
@@ -254,7 +254,11 @@ def golden_section_min(
 
 
 def _local_minima(values: Sequence[float]) -> list[int]:
-    """Indices of interior local minima (strict on the left, lax on the right)."""
+    """Indices of interior local minima (strict on the left, lax on the right).
+
+    A NaN value marks a failed grid point: every comparison with it is false,
+    so no minimum is taken at it or next to it.
+    """
     idx = []
     for i in range(1, len(values) - 1):
         if values[i] < values[i - 1] and values[i] <= values[i + 1]:
@@ -266,8 +270,8 @@ def _local_minima(values: Sequence[float]) -> list[int]:
 # line and grid scans
 # ----------------------------------------------------------------------------
 
-def _beta_grid_count(beta_min: float, beta_max: float, step: float) -> int:
-    return int(math.floor((beta_max - beta_min) / step + 1e-9)) + 1
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    return int(math.floor((hi - lo) / step + 1e-9)) + 1
 
 
 def scan_line(
@@ -296,40 +300,35 @@ def scan_line(
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
     workers = _resolve_workers(workers)
-    count = _beta_grid_count(beta_min, beta_max, step)
+    count = _grid_count(beta_min, beta_max, step)
     eval_tol = min(tol, DEFAULT_SCAN_TOL)
 
     chunks = _index_chunks(count, workers)
     arg_sets = [(alpha, beta_min, step, i0, i1, eval_tol, engine) for (i0, i1) in chunks]
-    results = _run_chunked(_line_chunk, arg_sets, workers)
-    samples: list[BoundSample] = []
-    failures: list[ScanFailure] = []
-    for chunk_samples, chunk_failures in results:
-        samples.extend(chunk_samples)
-        failures.extend(chunk_failures)
+    rows = [row for chunk in _run_chunked(_line_chunk, arg_sets, workers) for row in chunk]
+    samples = [row for row in rows if isinstance(row, BoundSample)]
+    failures = [row for row in rows if isinstance(row, ScanFailure)]
 
-    # refine each interior basin of the successfully sampled grid
+    # refine each basin whose grid point and both grid neighbours were sampled
+    eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
+    beta_set = {smp.s.beta for smp in samples}
+
+    def f_abs(beta: float) -> float:
+        return abs(eta_eval(ComplexPoint(alpha, beta), eval_tol, engine).value)
+
     refined: list[BoundSample] = []
-    if len(samples) >= 3 and not failures:
-        eta_abs_values = [smp.eta_abs for smp in samples]
-        betas = [smp.s.beta for smp in samples]
-        beta_set = set(betas)
-
-        def f_abs(beta: float) -> float:
-            return abs(eta_eval(ComplexPoint(alpha, beta), eval_tol, engine).value)
-
-        for i in _local_minima(eta_abs_values):
-            x, _ = golden_section_min(f_abs, betas[i - 1], betas[i + 1], refine_xtol)
-            if x in beta_set:
-                continue
-            try:
-                candidate = tail_inequality_check(ComplexPoint(alpha, x), eval_tol, engine)
-            except EtaFloorError as exc:
-                failures.append(ScanFailure(ComplexPoint(alpha, x), type(exc).__name__, str(exc)))
-                continue
-            # keep only genuine improvements over the basin's grid sample
-            if candidate.eta_abs < eta_abs_values[i]:
-                refined.append(candidate)
+    for i in _local_minima(eta_abs_values):
+        x, _ = golden_section_min(f_abs, rows[i - 1].s.beta, rows[i + 1].s.beta, refine_xtol)
+        if x in beta_set:
+            continue
+        try:
+            candidate = tail_inequality_check(ComplexPoint(alpha, x), eval_tol, engine)
+        except EtaFloorError as exc:
+            failures.append(ScanFailure(ComplexPoint(alpha, x), type(exc).__name__, str(exc)))
+            continue
+        # keep only genuine improvements over the basin's grid sample
+        if candidate.eta_abs < eta_abs_values[i]:
+            refined.append(candidate)
 
     merged = sorted(samples + refined, key=lambda smp: smp.s.beta)
     if merged:
@@ -371,7 +370,7 @@ def scan_grid(
         raise DomainError("alpha range is empty (hi < lo)")
     if not (alpha_step > 0.0):
         raise DomainError("alpha_step must be > 0")
-    n_alpha = int(math.floor((a_hi - a_lo) / alpha_step + 1e-9)) + 1
+    n_alpha = _grid_count(a_lo, a_hi, alpha_step)
     lines = tuple(
         scan_line(
             a_lo + j * alpha_step,
@@ -430,7 +429,7 @@ def _zero_candidates(
         raise DomainError("tol must be > 0")
     workers = _resolve_workers(workers)
     eval_tol = max(tol / 100.0, 1e-12)
-    count = _beta_grid_count(t_lo, t_hi, grid_step)
+    count = _grid_count(t_lo, t_hi, grid_step)
     chunks = _index_chunks(count, workers)
     arg_sets = [(t_lo, grid_step, i0, i1, eval_tol, engine) for (i0, i1) in chunks]
     f_values: list[float] = []

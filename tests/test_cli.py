@@ -290,6 +290,23 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "0.693147" in proc.stdout
 
+    def test_import_loads_no_dependency_besides_numpy(self):
+        # public top-level modules that importing the CLI adds after numpy, less the stdlib
+        code = (
+            "import sys, numpy; top = lambda: {n.split('.')[0] for n in sys.modules}; "
+            "before = top(); import etafloor.cli; "
+            "print(sorted(n for n in top() - before - set(sys.stdlib_module_names) "
+            "if not n.startswith('_')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['etafloor']"
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "etafloor", "scan", "--beta", "0:1"],

@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from etafloor.eta import (
     ComplexPoint,
+    _log_abs_gamma,
     accel_stages_for,
     as_point,
     conversion_factor,
@@ -127,6 +130,48 @@ class TestAccelEngine:
         q = 0.7
         terms = q ** np.arange(1.0, 49.0)
         assert crvz_reference_sum(terms) == pytest.approx(q / (1 + q), abs=1e-14)
+
+
+def _gamma_oracle_points(count=1200, seed=20240601):
+    """Seeded (s, ln|Gamma(s)| at 30 digits, ln Gamma(alpha) at 30 digits)."""
+    rng = random.Random(seed)
+    points = []
+    with mpmath.workdps(30):
+        for i in range(count):
+            alpha = rng.uniform(0.02, 3.0)
+            # a tenth on the real axis and a tenth below beta = 17, where the helper shifts
+            if i % 10 == 0:
+                beta = 0.0
+            else:
+                beta = rng.uniform(0.0, 17.0 if i % 10 == 5 else 5000.0)
+            ref = mpmath.re(mpmath.loggamma(mpmath.mpc(alpha, beta)))
+            points.append((complex(alpha, beta), ref, mpmath.loggamma(alpha)))
+    return points
+
+
+class TestLogAbsGamma:
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return _gamma_oracle_points()
+
+    def test_matches_mpmath(self, oracle):
+        for s, ref, _ in oracle:
+            ref = float(ref)
+            assert abs(_log_abs_gamma(s) - ref) <= 1e-13 * max(1.0, abs(ref)), s
+
+    def test_stage_count_matches_mpmath_formula(self, oracle):
+        ln_delta = mpmath.log(3 + mpmath.sqrt(8))
+        checked = 0
+        with mpmath.workdps(30):
+            for i, (s, ref, lgamma_alpha) in enumerate(oracle):
+                tol = (1e-8, 1e-9, 1e-10, 1e-12)[i % 4]
+                arg = (lgamma_alpha - ref + mpmath.log(2 / mpmath.mpf(tol))) / ln_delta
+                if abs(arg - mpmath.nint(arg)) < 1e-9:
+                    continue
+                n = int(mpmath.ceil(arg)) + 4
+                assert accel_stages_for(s, tol) == ((max(n, 8) + 31) // 32) * 32, (s, tol)
+                checked += 1
+        assert checked >= 1000
 
 
 class TestEtaEval:

@@ -4,7 +4,7 @@ import pytest
 
 from etafloor.decomposition import LeadingComponent
 from etafloor.eta import ComplexPoint, eta_eval
-from etafloor.exceptions import DomainError, NoZeroFoundError
+from etafloor.exceptions import CrossCheckError, DomainError, NoZeroFoundError
 from etafloor.scanner import (
     bound_floor,
     golden_section_min,
@@ -145,6 +145,27 @@ class TestScanLine:
             scan_line(1.0, 2.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             scan_line(1.0, 0.0, 1.0, 0.0)
+
+    def test_failed_sample_keeps_other_rows(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        clean = scan_line(0.75, 160.0, 166.0, 0.01)
+        bad_beta = 160.0 + 50 * 0.01
+        real_check = scanner_mod.tail_inequality_check
+
+        def failing(s, tol, engine="checked"):
+            if s.beta == bad_beta:
+                raise CrossCheckError("injected", gap=1.0, budget=0.0)
+            return real_check(s, tol, engine)
+
+        monkeypatch.setattr(scanner_mod, "tail_inequality_check", failing)
+        report = scan_line(0.75, 160.0, 166.0, 0.01)
+        assert [f.s.beta for f in report.failures] == [bad_beta]
+        # the clean line has refined basin rows besides its 601 grid rows
+        assert len(clean.samples) > 601
+        assert report.samples == tuple(smp for smp in clean.samples if smp.s.beta != bad_beta)
+        assert report.violations == tuple(v for v in clean.violations if v.s.beta != bad_beta)
+        assert (report.min_eta_abs, report.argmin_beta) == (clean.min_eta_abs, clean.argmin_beta)
 
     def test_worker_determinism(self):
         from etafloor.reporting import serialize_report
