@@ -85,6 +85,71 @@ class TestParseArgs:
             parse_args(["report", "a.json", "b.json", "c.json", "--compare"])
 
 
+_NO_ENGINE = "argument --engine: invalid choice: 'x' (choose from 'partial', 'euler', 'accel', 'checked')"
+_NO_COMMAND = ("argument command: invalid choice: 'bogus' (choose from 'eval', 'props', 'pca', "
+               "'scan', 'zeros', 'report')")
+
+
+class TestUsageErrors:
+    """Exit code and the exact stderr line for each way a run can be refused."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["eval", "--s", "abc"], 64,
+         "usage error: cannot parse complex literal 'abc' (expected a+bi)"),
+        (["eval", "--s", "1+0i", "--tol", "0"], 64, "usage error: --tol must be > 0"),
+        (["eval", "--s=-1+0i"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-1.0"),
+        (["props", "--cases", "0"], 64, "usage error: --cases must be >= 1"),
+        (["props", "--cases", "x"], 64, "usage error: argument --cases: invalid int value: 'x'"),
+        (["pca"], 64, "usage error: pca needs either --s or --alpha with --beta"),
+        (["pca", "--s", "1+0i", "--alpha", "0.5"], 64,
+         "usage error: pca needs either --s or --alpha with --beta"),
+        (["pca", "--alpha", "0.5"], 64, "usage error: pca line mode needs --beta lo:hi"),
+        (["pca", "--alpha", "0.5:0.6", "--beta", "0:1"], 64,
+         "usage error: pca line mode takes a single alpha"),
+        (["pca", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
+         "usage error: --step must be > 0"),
+        (["pca", "--s", "1+0i", "--tol", "-1"], 64, "usage error: --tol must be > 0"),
+        (["scan", "--beta", "0:1"], 64,
+         "usage error: the following arguments are required: --alpha"),
+        (["scan", "--alpha", "a:b", "--beta", "0:1"], 64,
+         "usage error: cannot parse alpha range 'a:b' (expected lo:hi)"),
+        (["scan", "--alpha", "0.5", "--beta", "2:1"], 64,
+         "usage error: beta range '2:1' is empty (hi < lo)"),
+        (["scan", "--alpha", "0.5", "--beta", "0:1", "--workers", "0"], 64,
+         "usage error: --workers must be >= 1"),
+        (["scan", "--alpha", "0.5", "--beta", "0:1", "--tol", "0"], 64,
+         "usage error: --tol must be > 0"),
+        (["scan", "--alpha", "0", "--beta", "0:1"], 64, "invalid parameter: alpha must be > 0"),
+        (["scan", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
+         "invalid parameter: step must be > 0"),
+        (["scan", "--alpha", "0.5:0.6", "--alpha-step", "0", "--beta", "0:1"], 64,
+         "invalid parameter: alpha_step must be > 0"),
+        (["zeros", "--t", "5:1"], 64, "usage error: t range '5:1' is empty (hi < lo)"),
+        (["zeros", "--t", "0:1", "--workers", "0"], 64, "usage error: --workers must be >= 1"),
+        (["zeros", "--t", "1:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
+        (["report", "a", "b", "c", "--compare"], 64,
+         "usage error: --compare needs exactly two input reports"),
+        (["report", "{tmp}/absent.json"], 74,
+         "i/o error: [Errno 2] No such file or directory: '{tmp}/absent.json'"),
+        ([], 64, "usage error: the following arguments are required: command"),
+        (["bogus"], 64, f"usage error: {_NO_COMMAND}"),
+        (["eval", "--s", "1+0i", "--engine", "x"], 64, f"usage error: {_NO_ENGINE}"),
+        (["eval", "--s", "0.05+1500i", "--tol", "1e-12", "--engine", "euler"], 3,
+         "numerical failure: euler engine cannot certify tol=1e-12 at s=0.05+1500j "
+         "(best estimate 1.06065e-08)"),
+        (["eval", "--s", "0.5+14.1i", "--engine", "partial", "--tol", "1e-12"], 3,
+         "numerical failure: partial engine certifies a tolerance only on the real axis "
+         "(beta = 0)"),
+    ])
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"etafloor: {message.replace('{tmp}', str(tmp_path))}\n"
+        assert captured.out == ""
+
+
 class TestEvalCommand:
     def test_eval_ln2(self, capsys):
         code = main(["eval", "--s", "1+0i", "--tol", "1e-12"])

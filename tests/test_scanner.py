@@ -4,7 +4,12 @@ import pytest
 
 from etafloor.decomposition import LeadingComponent
 from etafloor.eta import ComplexPoint, eta_eval
-from etafloor.exceptions import CrossCheckError, DomainError, NoZeroFoundError
+from etafloor.exceptions import (
+    CrossCheckError,
+    DomainError,
+    NonConvergenceError,
+    NoZeroFoundError,
+)
 from etafloor.scanner import (
     bound_floor,
     golden_section_min,
@@ -179,6 +184,15 @@ class TestScanLine:
         assert len(blobs) == 2  # one csv byte string, one json byte string
 
 
+    def test_failed_samples_cross_the_pool_as_rows(self):
+        # Euler cannot certify most of this line: both kinds of row, from either path
+        serial = scan_line(0.05, 900.0, 1100.0, 1.0, workers=1)
+        pooled = scan_line(0.05, 900.0, 1100.0, 1.0, workers=2)
+        assert pooled == serial
+        assert len(serial.samples) == 113
+        assert len(serial.failures) == 112
+        assert {f.error for f in serial.failures} == {"NonConvergenceError"}
+
 class TestScanGrid:
     def test_degenerate_grid_is_line(self):
         grid = scan_grid((0.8, 0.8), (1.0, 2.0), 0.05, 0.1)
@@ -233,6 +247,11 @@ class TestZeros:
         with pytest.raises(DomainError):
             survey_zeros(-1.0, 5.0)
 
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_survey_raises_first_uncertified_point(self, workers):
+        with pytest.raises(NonConvergenceError, match=r"s=0\.5\+4400j"):
+            survey_zeros(4400.0, 4400.5, workers=workers)
 
 class TestZeroGeometry:
     def test_first_zero_geometry(self):
