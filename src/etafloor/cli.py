@@ -14,18 +14,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .decomposition import DEFAULT_THETA, decompose_from_eta
-from .eta import ComplexPoint, eta_eval
-from .exceptions import (
-    CrossCheckError,
-    DegenerateGeometryError,
-    DomainError,
-    IllConditionedError,
-    NonConvergenceError,
-    NoZeroFoundError,
-)
+from .eta import ENGINES, ComplexPoint, eta_eval
+from .exceptions import DomainError, EtaFloorError
 from .propositions import run_all_suites
 from .reporting import (
     EvalReport,
@@ -41,7 +33,7 @@ from .reporting import (
 )
 from .scanner import _grid_count, scan_grid, scan_line, survey_zeros, zero_geometry
 
-__all__ = ["RunConfig", "UsageError", "parse_args", "run", "main"]
+__all__ = ["UsageError", "parse_args", "run", "main"]
 
 EXIT_OK = 0
 EXIT_COMPARE_DIFFERS = 1
@@ -53,30 +45,6 @@ EXIT_IO = 74
 
 class UsageError(DomainError):
     """Invalid command line or parameter combination."""
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters for one CLI invocation."""
-
-    command: str
-    s: ComplexPoint | None = None
-    alpha_range: tuple[float, float] | None = None
-    alpha_step: float = 0.05
-    beta_range: tuple[float, float] | None = None
-    t_range: tuple[float, float] | None = None
-    step: float = 0.01
-    theta: float = DEFAULT_THETA
-    tol: float = 1e-9
-    cases: int = 10_000
-    seed: int = 0
-    engine: str = "checked"
-    workers: int = 1
-    output_format: str = "csv"
-    output_path: str | None = None
-    strict: bool = False
-    compare: bool = False
-    inputs: tuple[str, ...] = field(default_factory=tuple)
 
 
 def parse_complex_literal(text: str) -> ComplexPoint:
@@ -133,15 +101,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, fmt_default="csv"):
-        p.add_argument("--output", default=None, help="report path ('-' for stdout)")
+        p.add_argument("--output", default=None, dest="output_path", metavar="OUTPUT",
+                       help="report path ('-' for stdout)")
         p.add_argument("--format", default=fmt_default, choices=("csv", "json"),
                        dest="output_format")
 
     p_eval = sub.add_parser("eval", help="evaluate eta(s) with an error certificate")
     p_eval.add_argument("--s", required=True, help="point, e.g. 0.5+14.1347i")
     p_eval.add_argument("--tol", type=float, default=1e-12)
-    p_eval.add_argument("--engine", default="checked",
-                        choices=("partial", "euler", "accel", "checked"))
+    p_eval.add_argument("--engine", default="checked", choices=ENGINES)
     add_common(p_eval, fmt_default="json")
 
     p_props = sub.add_parser("props", help="run the randomized proposition suites")
@@ -151,33 +119,35 @@ def _build_parser() -> _Parser:
 
     p_pca = sub.add_parser("pca", help="tail decomposition at a point or along a line")
     p_pca.add_argument("--s", default=None, help="single point a+bi")
-    p_pca.add_argument("--alpha", default=None, help="line alpha (with --beta lo:hi)")
-    p_pca.add_argument("--beta", default=None, help="beta range lo:hi")
+    p_pca.add_argument("--alpha", default=None, dest="alpha_range", metavar="ALPHA",
+                       help="line alpha (with --beta lo:hi)")
+    p_pca.add_argument("--beta", default=None, dest="beta_range", metavar="BETA",
+                       help="beta range lo:hi")
     p_pca.add_argument("--step", type=float, default=1.0)
     p_pca.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p_pca.add_argument("--tol", type=float, default=1e-10)
-    p_pca.add_argument("--engine", default="checked",
-                       choices=("partial", "euler", "accel", "checked"))
+    p_pca.add_argument("--engine", default="checked", choices=ENGINES)
     add_common(p_pca)
 
     p_scan = sub.add_parser("scan", help="scan |eta| against the candidate floor")
-    p_scan.add_argument("--alpha", required=True, help="alpha or alpha range lo:hi")
+    p_scan.add_argument("--alpha", required=True, dest="alpha_range", metavar="ALPHA",
+                        help="alpha or alpha range lo:hi")
     p_scan.add_argument("--alpha-step", type=float, default=0.05, dest="alpha_step")
-    p_scan.add_argument("--beta", required=True, help="beta range lo:hi")
+    p_scan.add_argument("--beta", required=True, dest="beta_range", metavar="BETA",
+                        help="beta range lo:hi")
     p_scan.add_argument("--step", type=float, default=0.01)
     p_scan.add_argument("--tol", type=float, default=1e-9)
     p_scan.add_argument("--workers", type=int, default=1)
-    p_scan.add_argument("--engine", default="checked",
-                        choices=("partial", "euler", "accel", "checked"))
+    p_scan.add_argument("--engine", default="checked", choices=ENGINES)
     p_scan.add_argument("--strict", action="store_true")
     add_common(p_scan)
 
     p_zeros = sub.add_parser("zeros", help="locate critical-line zeros in a t range")
-    p_zeros.add_argument("--t", required=True, help="ordinate range lo:hi")
+    p_zeros.add_argument("--t", required=True, dest="t_range", metavar="T",
+                         help="ordinate range lo:hi")
     p_zeros.add_argument("--tol", type=float, default=1e-8)
     p_zeros.add_argument("--workers", type=int, default=1)
-    p_zeros.add_argument("--engine", default="checked",
-                         choices=("partial", "euler", "accel", "checked"))
+    p_zeros.add_argument("--engine", default="checked", choices=ENGINES)
     add_common(p_zeros)
 
     p_report = sub.add_parser("report", help="merge or compare prior JSON reports")
@@ -188,63 +158,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse and check one command line; the namespace is the run configuration.
+
+    Complex literals and ranges are converted in place, and the parameter
+    combinations argparse cannot check raise UsageError.
+    """
     ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.output_path = ns.output
-    cfg.output_format = ns.output_format
-    if ns.command == "eval":
-        cfg.s = parse_complex_literal(ns.s)
-        cfg.tol = ns.tol
-        cfg.engine = ns.engine
-    elif ns.command == "props":
-        cfg.cases = ns.cases
-        cfg.seed = ns.seed
-        if cfg.cases < 1:
-            raise UsageError("--cases must be >= 1")
-    elif ns.command == "pca":
-        if (ns.s is None) == (ns.alpha is None):
+    if ns.command == "props" and ns.cases < 1:
+        raise UsageError("--cases must be >= 1")
+    if ns.command == "pca":
+        if (ns.s is None) == (ns.alpha_range is None):
             raise UsageError("pca needs either --s or --alpha with --beta")
-        if ns.s is not None:
-            cfg.s = parse_complex_literal(ns.s)
-        else:
-            if ns.beta is None:
-                raise UsageError("pca line mode needs --beta lo:hi")
-            cfg.alpha_range = parse_range(ns.alpha, "alpha")
-            if cfg.alpha_range[0] != cfg.alpha_range[1]:
-                raise UsageError("pca line mode takes a single alpha")
-            cfg.beta_range = parse_range(ns.beta, "beta")
-        cfg.step = ns.step
-        cfg.theta = ns.theta
-        cfg.tol = ns.tol
-        cfg.engine = ns.engine
-    elif ns.command == "scan":
-        cfg.alpha_range = parse_range(ns.alpha, "alpha")
-        cfg.alpha_step = ns.alpha_step
-        cfg.beta_range = parse_range(ns.beta, "beta")
-        cfg.step = ns.step
-        cfg.tol = ns.tol
-        cfg.workers = ns.workers
-        cfg.engine = ns.engine
-        cfg.strict = ns.strict
-    elif ns.command == "zeros":
-        cfg.t_range = parse_range(ns.t, "t")
-        cfg.tol = ns.tol
-        cfg.workers = ns.workers
-        cfg.engine = ns.engine
-    elif ns.command == "report":
-        cfg.inputs = tuple(ns.inputs)
-        cfg.compare = ns.compare
-        if cfg.compare and len(cfg.inputs) != 2:
-            raise UsageError("--compare needs exactly two input reports")
-    if cfg.workers < 1:
+        if ns.s is None and ns.beta_range is None:
+            raise UsageError("pca line mode needs --beta lo:hi")
+    if getattr(ns, "s", None) is not None:
+        ns.s = parse_complex_literal(ns.s)
+    if getattr(ns, "alpha_range", None) is not None:
+        ns.alpha_range = parse_range(ns.alpha_range, "alpha")
+        if ns.command == "pca" and ns.alpha_range[0] != ns.alpha_range[1]:
+            raise UsageError("pca line mode takes a single alpha")
+        ns.beta_range = parse_range(ns.beta_range, "beta")
+    if ns.command == "zeros":
+        ns.t_range = parse_range(ns.t_range, "t")
+    if ns.command == "report" and ns.compare and len(ns.inputs) != 2:
+        raise UsageError("--compare needs exactly two input reports")
+    if getattr(ns, "workers", 1) < 1:
         raise UsageError("--workers must be >= 1")
-    if cfg.command in ("eval", "pca", "scan", "zeros") and not (cfg.tol > 0.0):
+    if hasattr(ns, "tol") and not (ns.tol > 0.0):
         raise UsageError("--tol must be > 0")
-    return cfg
+    return ns
 
 
-def _emit(report, cfg: RunConfig) -> None:
+def _emit(report, cfg: argparse.Namespace) -> None:
     data = serialize_report(report, cfg.output_format)
     write_report_bytes(data, "-" if cfg.output_path is None else cfg.output_path)
 
@@ -254,7 +200,7 @@ def _fmt_point(p: ComplexPoint) -> str:
     return f"{p.alpha:g}{sign}{abs(p.beta):g}i"
 
 
-def _run_eval(cfg: RunConfig) -> int:
+def _run_eval(cfg: argparse.Namespace) -> int:
     result = eta_eval(cfg.s, cfg.tol, cfg.engine)
     v = result.value
     print(
@@ -267,7 +213,7 @@ def _run_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_props(cfg: RunConfig) -> int:
+def _run_props(cfg: argparse.Namespace) -> int:
     rows = run_all_suites(cfg.cases, cfg.seed)
     report = PropsReport(cases=cfg.cases, seed=cfg.seed, rows=tuple(rows))
     for row in rows:
@@ -281,7 +227,7 @@ def _run_props(cfg: RunConfig) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_CROSS_CHECK
 
 
-def _run_pca(cfg: RunConfig) -> int:
+def _run_pca(cfg: argparse.Namespace) -> int:
     if cfg.s is not None:
         points = [cfg.s]
     else:
@@ -297,7 +243,7 @@ def _run_pca(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_scan(cfg: RunConfig) -> int:
+def _run_scan(cfg: argparse.Namespace) -> int:
     a_lo, a_hi = cfg.alpha_range
     if a_lo == a_hi:
         report = scan_line(
@@ -327,7 +273,7 @@ def _run_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_zeros(cfg: RunConfig) -> int:
+def _run_zeros(cfg: argparse.Namespace) -> int:
     records = survey_zeros(
         cfg.t_range[0], cfg.t_range[1], cfg.tol,
         workers=cfg.workers, engine=cfg.engine,
@@ -341,7 +287,7 @@ def _run_zeros(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_report(cfg: RunConfig) -> int:
+def _run_report(cfg: argparse.Namespace) -> int:
     loaded = []
     for path in cfg.inputs:
         with open(path, "rb") as handle:
@@ -364,23 +310,21 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; exceptions map to the exit contract."""
+def run(config: argparse.Namespace) -> int:
+    """Execute a parsed configuration; exceptions map to the exit contract."""
     return _RUNNERS[config.command](config)
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
-        return run(config)
+        return run(parse_args(argv))
     except UsageError as exc:
         print(f"etafloor: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"etafloor: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CrossCheckError, NonConvergenceError, IllConditionedError,
-            NoZeroFoundError, DegenerateGeometryError) as exc:
+    except EtaFloorError as exc:
         print(f"etafloor: numerical failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
     except OSError as exc:

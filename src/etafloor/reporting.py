@@ -212,14 +212,7 @@ def merge_reports(reports: list):
         for r in reports:
             lines.extend(r.lines if isinstance(r, GridReport) else [r])
         lines.sort(key=lambda ln: (ln.alpha, ln.beta_range))
-        best = min(lines, key=lambda ln: (ln.min_eta_abs, ln.alpha))
-        return GridReport(
-            lines=tuple(lines),
-            min_eta_abs=best.min_eta_abs,
-            argmin_alpha=best.alpha,
-            argmin_beta=best.argmin_beta,
-            violation_count=sum(len(ln.violations) for ln in lines),
-        )
+        return GridReport.from_lines(lines)
     if all(isinstance(r, ZerosReport) for r in reports):
         rows = sorted((row for r in reports for row in r.rows), key=lambda z: z.record.t)
         return ZerosReport(

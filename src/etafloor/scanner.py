@@ -107,6 +107,20 @@ class GridReport:
     violation_count: int
     lines: tuple[LineScanReport, ...]
 
+    @classmethod
+    def from_lines(cls, lines) -> GridReport:
+        """Summary over scanned lines: the least line minimum (ties go to the
+        lower alpha) and the total violation count."""
+        lines = tuple(lines)
+        best = min(lines, key=lambda ln: (ln.min_eta_abs, ln.alpha))
+        return cls(
+            min_eta_abs=best.min_eta_abs,
+            argmin_alpha=best.alpha,
+            argmin_beta=best.argmin_beta,
+            violation_count=sum(len(ln.violations) for ln in lines),
+            lines=lines,
+        )
+
 
 @dataclass(frozen=True)
 class ZeroRecord:
@@ -193,25 +207,35 @@ def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _line_chunk(args: tuple) -> list[BoundSample | ScanFailure]:
-    """One row per grid index i0..i1-1, a ScanFailure where the sample failed."""
-    alpha, beta_min, step, i0, i1, tol, engine = args
-    rows: list[BoundSample | ScanFailure] = []
+def _grid_chunk(args: tuple) -> list:
+    """f(ComplexPoint(alpha, lo + i*step), *f_args) for i in i0..i1-1; the
+    EtaFloorError stands where a point failed, so it crosses a process pool as a value."""
+    f, alpha, lo, step, i0, i1, f_args = args
+    out = []
     for i in range(i0, i1):
-        beta = beta_min + i * step
-        point = ComplexPoint(alpha, beta)
         try:
-            rows.append(tail_inequality_check(point, tol, engine))
+            out.append(f(ComplexPoint(alpha, lo + i * step), *f_args))
         except EtaFloorError as exc:
-            rows.append(ScanFailure(point, type(exc).__name__, str(exc)))
-    return rows
+            out.append(exc.with_traceback(None))  # a kept traceback holds its frames' locals
+    return out
 
 
-def _run_chunked(worker: Callable, arg_sets: list[tuple], workers: int) -> list:
-    if workers <= 1 or len(arg_sets) <= 1:
-        return [worker(a) for a in arg_sets]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arg_sets))
+def _sample_grid(f: Callable, alpha: float, lo: float, step: float, count: int,
+                 workers: int, *f_args) -> list:
+    """_grid_chunk over grid indices 0..count-1, in contiguous chunks, one per
+    worker process, merged in index order.  `f` must be a module-level function."""
+    workers = _resolve_workers(workers)
+    arg_sets = [(f, alpha, lo, step, i0, i1, f_args) for i0, i1 in _index_chunks(count, workers)]
+    if len(arg_sets) <= 1:
+        chunks = map(_grid_chunk, arg_sets)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_grid_chunk, arg_sets))
+    return [value for chunk in chunks for value in chunk]
+
+
+def _abs_eta(s: ComplexPoint, tol: float, engine: str) -> float:
+    return abs(eta_eval(s, tol, engine).value)
 
 
 # ----------------------------------------------------------------------------
@@ -266,6 +290,25 @@ def _local_minima(values: Sequence[float]) -> list[int]:
     return idx
 
 
+def _refine_basins(
+    values: Sequence[float], alpha: float, lo: float, step: float, xtol: float, tol: float,
+    engine: str, whole: tuple[float, float] | None = None,
+) -> list[tuple[int | None, float, float]]:
+    """(i, x, |eta(alpha + ix)|) at the golden-section minimum of each grid basin.
+
+    values[i] is the grid sample at x = lo + i*step (NaN where it failed); the
+    basin of an interior local minimum i is [lo + (i-1)*step, lo + (i+1)*step].
+    A grid without interior minima refines the bracket `whole`, if given, as i = None.
+    """
+    def f_abs(x: float) -> float:
+        return _abs_eta(ComplexPoint(alpha, x), tol, engine)
+
+    brackets = [(i, lo + (i - 1) * step, lo + (i + 1) * step) for i in _local_minima(values)]
+    if whole is not None and not brackets:
+        brackets = [(None, *whole)]
+    return [(i, *golden_section_min(f_abs, b_lo, b_hi, xtol)) for i, b_lo, b_hi in brackets]
+
+
 # ----------------------------------------------------------------------------
 # line and grid scans
 # ----------------------------------------------------------------------------
@@ -299,26 +342,21 @@ def scan_line(
         raise DomainError("step must be > 0")
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
-    workers = _resolve_workers(workers)
     count = _grid_count(beta_min, beta_max, step)
     eval_tol = min(tol, DEFAULT_SCAN_TOL)
 
-    chunks = _index_chunks(count, workers)
-    arg_sets = [(alpha, beta_min, step, i0, i1, eval_tol, engine) for (i0, i1) in chunks]
-    rows = [row for chunk in _run_chunked(_line_chunk, arg_sets, workers) for row in chunk]
+    rows = _sample_grid(tail_inequality_check, alpha, beta_min, step, count, workers,
+                        eval_tol, engine)
     samples = [row for row in rows if isinstance(row, BoundSample)]
-    failures = [row for row in rows if isinstance(row, ScanFailure)]
+    failures = [ScanFailure(ComplexPoint(alpha, beta_min + i * step), type(row).__name__, str(row))
+                for i, row in enumerate(rows) if isinstance(row, EtaFloorError)]
 
     # refine each basin whose grid point and both grid neighbours were sampled
     eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
     beta_set = {smp.s.beta for smp in samples}
-
-    def f_abs(beta: float) -> float:
-        return abs(eta_eval(ComplexPoint(alpha, beta), eval_tol, engine).value)
-
     refined: list[BoundSample] = []
-    for i in _local_minima(eta_abs_values):
-        x, _ = golden_section_min(f_abs, rows[i - 1].s.beta, rows[i + 1].s.beta, refine_xtol)
+    for i, x, _ in _refine_basins(eta_abs_values, alpha, beta_min, step, refine_xtol, eval_tol,
+                                  engine):
         if x in beta_set:
             continue
         try:
@@ -371,7 +409,7 @@ def scan_grid(
     if not (alpha_step > 0.0):
         raise DomainError("alpha_step must be > 0")
     n_alpha = _grid_count(a_lo, a_hi, alpha_step)
-    lines = tuple(
+    return GridReport.from_lines(
         scan_line(
             a_lo + j * alpha_step,
             beta_range[0],
@@ -384,28 +422,11 @@ def scan_grid(
         )
         for j in range(n_alpha)
     )
-    best = min(lines, key=lambda ln: (ln.min_eta_abs, ln.alpha))
-    return GridReport(
-        lines=lines,
-        min_eta_abs=best.min_eta_abs,
-        argmin_alpha=best.alpha,
-        argmin_beta=best.argmin_beta,
-        violation_count=sum(len(ln.violations) for ln in lines),
-    )
 
 
 # ----------------------------------------------------------------------------
 # critical-line zeros
 # ----------------------------------------------------------------------------
-
-def _abs_eta_chunk(args: tuple) -> list[float]:
-    t_lo, grid_step, i0, i1, eval_tol, engine = args
-    out = []
-    for i in range(i0, i1):
-        t = t_lo + i * grid_step
-        out.append(abs(eta_eval(ComplexPoint(0.5, t), eval_tol, engine).value))
-    return out
-
 
 def _engine_gap_at(t: float, eval_tol: float) -> float:
     s = ComplexPoint(0.5, t)
@@ -427,25 +448,16 @@ def _zero_candidates(
     """
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
-    workers = _resolve_workers(workers)
     eval_tol = max(tol / 100.0, 1e-12)
     count = _grid_count(t_lo, t_hi, grid_step)
-    chunks = _index_chunks(count, workers)
-    arg_sets = [(t_lo, grid_step, i0, i1, eval_tol, engine) for (i0, i1) in chunks]
-    f_values: list[float] = []
-    for part in _run_chunked(_abs_eta_chunk, arg_sets, workers):
-        f_values.extend(part)
-    ts = [t_lo + i * grid_step for i in range(count)]
-    brackets = [(ts[i - 1], ts[i + 1]) for i in _local_minima(f_values)]
-    if whole_bracket and not brackets:
-        brackets = [(t_lo, t_hi)]
-
-    def f_abs(t: float) -> float:
-        return abs(eta_eval(ComplexPoint(0.5, t), eval_tol, engine).value)
-
+    values = _sample_grid(_abs_eta, 0.5, t_lo, grid_step, count, workers, eval_tol, engine)
+    for value in values:
+        if isinstance(value, EtaFloorError):
+            raise value
     candidates = []
-    for lo, hi in brackets:
-        t_star, residual = golden_section_min(f_abs, lo, hi, ZERO_REFINE_XTOL)
+    for _, t_star, residual in _refine_basins(values, 0.5, t_lo, grid_step, ZERO_REFINE_XTOL,
+                                              eval_tol, engine,
+                                              (t_lo, t_hi) if whole_bracket else None):
         gap = _engine_gap_at(t_star, eval_tol) if residual < tol else math.inf
         candidates.append((t_star, residual, gap))
     return candidates

@@ -85,7 +85,8 @@ class TestParseArgs:
             parse_args(["report", "a.json", "b.json", "c.json", "--compare"])
 
 
-_NO_ENGINE = "argument --engine: invalid choice: 'x' (choose from 'partial', 'euler', 'accel', 'checked')"
+_NO_ENGINE = ("argument --engine: invalid choice: 'x' (choose from 'partial', 'euler', 'accel', "
+              "'checked')")
 _NO_COMMAND = ("argument command: invalid choice: 'bogus' (choose from 'eval', 'props', 'pca', "
                "'scan', 'zeros', 'report')")
 
