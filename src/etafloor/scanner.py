@@ -441,7 +441,8 @@ def _zero_candidates(
 ) -> list[tuple[float, float, float]]:
     """(t, residual, engine gap) at every refined minimum of |eta(1/2 + i t)|.
 
-    The grid t_lo + i*grid_step is sampled in worker chunks, every interior
+    The grid t_lo + i*grid_step is sampled in worker chunks (then the failed
+    point of lowest index, if any, raises its error), every interior
     local minimum is refined by golden section, and the Euler/Chebyshev gap is
     measured wherever the residual is below tol (elsewhere it is inf).  With
     `whole_bracket`, a grid without interior minima refines [t_lo, t_hi] itself.
