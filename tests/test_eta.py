@@ -63,6 +63,14 @@ class TestPartialSum:
         with pytest.raises(DomainError):
             eta_partial_sum(1.0, 0)
 
+    def test_second_chunk_continues_the_sign_parity(self):
+        # terms past 2**20 are summed in a second chunk; its signs must go on
+        # from the first chunk's: (-1)^(n+1), positive at odd n
+        s = 0.5 + 3.0j
+        head = eta_partial_sum(s, 2**20)
+        direct = sum((-1) ** (n + 1) * n ** (-s) for n in range(2**20 + 1, 2**20 + 6))
+        assert abs(eta_partial_sum(s, 2**20 + 5) - (head + direct)) <= 1e-15
+
     def test_bracket_contains_limit(self):
         for alpha in (0.5, 1.0, 2.0):
             lo, hi = partial_sum_bracket(alpha, 10_000)
