@@ -27,6 +27,7 @@ partial-sum bracket is a rigorous bound.  All arithmetic is binary64.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,21 +162,14 @@ def eta_partial_sum(s: PointLike, n_terms: int) -> complex:
         raise NonConvergenceError(f"n_terms {n_terms} exceeds cap {MAX_PARTIAL_TERMS}")
     sc = p.to_complex()
     total = 0.0 + 0.0j
-    chunk = 1 << 20
+    chunk = 1 << 20  # even, so every chunk starts at an odd n, whose term is positive
     for start in range(1, n_terms + 1, chunk):
         stop = min(start + chunk - 1, n_terms)
         if start == 1:
             lnn = _log_range(stop)
         else:
             lnn = np.log(np.arange(start, stop + 1, dtype=np.float64))
-        pows = np.exp(-sc * lnn)
-        signs = np.ones(stop - start + 1)
-        # sign of term n is (-1)^(n+1)
-        if start % 2 == 1:
-            signs[1::2] = -1.0
-        else:
-            signs[0::2] = -1.0
-        total += complex(np.sum(signs * pows))
+        total += complex(np.sum(_alternating_signs(stop - start + 1) * np.exp(-sc * lnn)))
     return total
 
 
@@ -198,15 +192,10 @@ def partial_sum_bracket(alpha: float, n_terms: int) -> tuple[float, float]:
 # Euler transformation engine
 # ----------------------------------------------------------------------------
 
-_euler_weight_cache: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _euler_weights(m: int) -> np.ndarray:
-    """W_i = sum_{j=i}^{m-1} C(j,i) 2^(-j-1): the truncated Euler transform is
-    sum_k (-1)^k b_k ~ sum_{i<m} (-1)^i W_i b_i."""
-    cached = _euler_weight_cache.get(m)
-    if cached is not None:
-        return cached
+    """(-1)^i W_i with W_i = sum_{j=i}^{m-1} C(j,i) 2^(-j-1): the truncated Euler
+    transform is sum_k (-1)^k b_k ~ sum_{i<m} (-1)^i W_i b_i."""
     W = np.zeros(m)
     row = np.array([1.0])
     for j in range(m):
@@ -216,8 +205,8 @@ def _euler_weights(m: int) -> np.ndarray:
         nxt[j + 1] = 1.0
         nxt[1 : j + 1] = row[:-1] + row[1:]
         row = nxt
+    W[1::2] *= -1.0
     W.setflags(write=False)
-    _euler_weight_cache[m] = W
     return W
 
 
@@ -243,10 +232,9 @@ def _euler_attempt(sc: complex, head: int, m: int) -> tuple[complex, float, int]
     head_sum = complex(np.sum(_alternating_signs(head) * pows[:head]))
     b = pows[head:]
     tail_sign = 1.0 if head % 2 == 0 else -1.0
-    signs = _alternating_signs(m)
-    tail = tail_sign * complex(np.sum(signs * _euler_weights(m) * b))
+    tail = tail_sign * complex(np.sum(_euler_weights(m) * b))
     m2 = m - 8
-    tail2 = tail_sign * complex(np.sum(signs[:m2] * _euler_weights(m2) * b[:m2]))
+    tail2 = tail_sign * complex(np.sum(_euler_weights(m2) * b[:m2]))
     absp = np.abs(pows)
     floor = EPS * (2.0 * float(np.sum(absp)) + abs(sc.imag) * float(np.dot(absp, lnn)))
     est = 10.0 * abs(tail - tail2) + floor
@@ -281,9 +269,6 @@ def eta_euler(s: PointLike, tol: float) -> EvalResult:
 # Chebyshev-accelerated engine
 # ----------------------------------------------------------------------------
 
-_crvz_weight_cache: dict[int, np.ndarray] = {}
-
-
 def _frexp_add(acc_m: float, acc_e: int, m: float, e: int) -> tuple[float, int]:
     """(mantissa, exponent) addition for positive values spanning huge ranges."""
     if acc_m == 0.0:
@@ -296,15 +281,14 @@ def _frexp_add(acc_m: float, acc_e: int, m: float, e: int) -> tuple[float, int]:
     return m2, total_e + e2
 
 
+@functools.cache
 def _crvz_weights(n: int) -> np.ndarray:
-    """e_k = (d_n - d_k)/d_n for k < n, with d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!).
+    """(-1)^k e_k, with e_k = (d_n - d_k)/d_n for k < n and
+    d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!).
 
     The addends t_i are positive with t_{i+1} = t_i * 4(n+i)(n-i)/((2i+1)(2i+2)),
     peaking near 4^n, so sums are accumulated as (mantissa, exponent) pairs.
     """
-    cached = _crvz_weight_cache.get(n)
-    if cached is not None:
-        return cached
     tm, te = math.frexp(1.0 / n)
     terms = [(tm, te)]
     for i in range(n):
@@ -319,8 +303,8 @@ def _crvz_weights(n: int) -> np.ndarray:
         suffix[k] = (sm, se)
     tot_m, tot_e = _frexp_add(sm, se, *terms[0])
     weights = np.array([(m / tot_m) * 2.0 ** (e - tot_e) for (m, e) in suffix])
+    weights[1::2] *= -1.0
     weights.setflags(write=False)
-    _crvz_weight_cache[n] = weights
     return weights
 
 
@@ -374,8 +358,8 @@ def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
     weights = _crvz_weights(n)
     lnn = _log_range(n)
     a = np.exp(-sc * lnn)
-    value = complex(np.sum(_alternating_signs(n) * weights * a))
-    wabs = weights * np.abs(a)
+    value = complex(np.sum(weights * a))
+    wabs = np.abs(weights) * np.abs(a)
     floor = EPS * (2.0 * float(np.sum(wabs)) + abs(p.beta) * float(np.dot(wabs, lnn)))
     est = _chebyshev_truncation(sc, n) + floor
     return EvalResult(value, est, "accel", n)
@@ -392,7 +376,7 @@ def crvz_reference_sum(terms: np.ndarray) -> float:
     n = terms.size
     if n < 1:
         raise DomainError("need at least one term")
-    return float(np.sum(_alternating_signs(n) * _crvz_weights(n) * terms))
+    return float(np.sum(_crvz_weights(n) * terms))
 
 
 # ----------------------------------------------------------------------------

@@ -13,8 +13,10 @@
    for positive, monotone decreasing, vanishing a_n.
 
 Each check returns the compared quantities plus a verdict instead of a bare
-boolean so failures stay diagnosable.  ``run_all_suites`` drives the seeded,
-vectorized randomized campaigns behind the ``props`` CLI subcommand.
+boolean so failures stay diagnosable.  Checks 1-4 work elementwise on numpy
+arrays, so a scalar call is a batch of one.  The seeded randomized campaigns
+behind the ``props`` CLI subcommand (``run_all_suites``) are those checks run on
+seeded arrays and reduced to a failure count and a worst violation.
 
 Equality slack everywhere: 1e-12 scaled by (1 + magnitude of the operands).
 """
@@ -54,8 +56,8 @@ __all__ = [
 BASE_SLACK = 1e-12
 
 
-def _slack(*magnitudes: float) -> float:
-    return BASE_SLACK * (1.0 + math.fsum(abs(m) for m in magnitudes))
+def _slack(x1, x2=0.0):
+    return BASE_SLACK * (1.0 + np.abs(x1) + np.abs(x2))
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class EllipseParams:
     t: float
 
     def __post_init__(self) -> None:
-        if not (self.a >= self.b > 0.0):
+        if not np.all((self.a >= self.b) & (self.b > 0.0)):
             raise DomainError(f"ellipse requires a >= b > 0, got a={self.a}, b={self.b}")
 
 
@@ -81,6 +83,14 @@ class CircleDecomposition:
     b: float
     phi: float
 
+    @property
+    def ordered(self):
+        """delta >= 0 => r <= b <= a and delta < 0 => a <= r <= b, within the slack."""
+        eps = _slack(self.r)
+        return np.where(self.delta >= 0.0,
+                        (self.r <= self.b + eps) & (self.b <= self.a + eps),
+                        (self.a <= self.r + eps) & (self.r <= self.b + eps))
+
 
 class ReverseTriangleCheck(NamedTuple):
     lhs: float
@@ -92,6 +102,7 @@ class AdditiveModulusCheck(NamedTuple):
     modulus: float
     sum: float
     equal: bool
+    iff_condition: bool  # u*v = 0 and u + v >= 0, within the slack
 
 
 class AltTailBound(NamedTuple):
@@ -102,22 +113,24 @@ class AltTailBound(NamedTuple):
 
 def reverse_triangle_check(z1: complex, z2: complex) -> ReverseTriangleCheck:
     """Compare |z1 + z2| against ||z1| - |z2||."""
-    z1, z2 = complex(z1), complex(z2)
-    lhs = abs(z1 + z2)
-    rhs = abs(abs(z1) - abs(z2))
-    return ReverseTriangleCheck(lhs, rhs, lhs >= rhs - _slack(abs(z1), abs(z2)))
+    abs1, abs2 = np.abs(z1), np.abs(z2)
+    lhs = np.abs(z1 + z2)
+    rhs = np.abs(abs1 - abs2)
+    return ReverseTriangleCheck(lhs, rhs, lhs >= rhs - _slack(abs1, abs2))
 
 
 def ellipse_point(p: EllipseParams) -> tuple[float, float]:
     """(a cos t, b sin t); its modulus never exceeds the semi-major length a."""
-    return p.a * math.cos(p.t), p.b * math.sin(p.t)
+    return p.a * np.cos(p.t), p.b * np.sin(p.t)
 
 
 def additive_modulus_check(u: float, v: float) -> AdditiveModulusCheck:
     """sqrt(u^2+v^2) equals u+v exactly when u*v = 0 and u+v >= 0."""
-    modulus = math.hypot(u, v)
+    modulus = np.hypot(u, v)
     total = u + v
-    return AdditiveModulusCheck(modulus, total, abs(modulus - total) <= _slack(u, v))
+    slack = _slack(u, v)
+    return AdditiveModulusCheck(modulus, total, np.abs(modulus - total) <= slack,
+                                (np.abs(u * v) <= slack) & (total >= -slack))
 
 
 def circle_decomposition(r: float, delta: float) -> CircleDecomposition:
@@ -126,25 +139,26 @@ def circle_decomposition(r: float, delta: float) -> CircleDecomposition:
     a = r + delta, b = sqrt(r^2 + delta^2), phi = -arctan(delta/r); the
     identity holds for every t.  Requires r > 0 and |delta| <= r.
     """
-    if not (r > 0.0):
+    if not np.all(r > 0.0):
         raise DomainError(f"circle radius must be positive, got {r}")
-    if abs(delta) > r:
-        raise DomainError(f"|delta| = {abs(delta)} exceeds the radius {r}")
+    if np.any(np.abs(delta) > r):
+        raise DomainError(f"|delta| = {np.abs(delta)} exceeds the radius {r}")
     return CircleDecomposition(
         r=r,
         delta=delta,
         a=r + delta,
-        b=math.hypot(r, delta),
-        phi=-math.atan2(delta, r),
+        b=np.hypot(r, delta),
+        phi=-np.arctan2(delta, r),
     )
 
 
 def reconstruction_max_error(dec: CircleDecomposition, n_points: int = 4096) -> float:
     """max_t |r cos t + r sin t - a cos t - b sin(t + phi)| over a uniform grid."""
     t = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    lhs = dec.r * (np.cos(t) + np.sin(t))
-    rhs = dec.a * np.cos(t) + dec.b * np.sin(t + dec.phi)
-    return float(np.max(np.abs(lhs - rhs)))
+    r, a, b, phi = (np.asarray(x)[..., None] for x in (dec.r, dec.a, dec.b, dec.phi))
+    lhs = r * (np.cos(t) + np.sin(t))
+    rhs = a * np.cos(t) + b * np.sin(t + phi)
+    return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 def alt_tail_bound(
@@ -152,13 +166,12 @@ def alt_tail_bound(
     m: int,
     *,
     slack: float = 1e-7,
-    contract_check_terms: int = 10_000,
 ) -> AltTailBound:
     """Tail sum_{n>=m} (-1)^(n+1) a_n versus the remainder bound a_m.
 
     ``sequence`` maps an integer index array to term values and must describe a
     positive, monotone decreasing, vanishing sequence (caller contract; spot
-    checked on the first ``contract_check_terms`` indices).  The tail is summed
+    checked on the first 10^4 indices).  The tail is summed
     until a_N < slack and the final pair of partial sums is averaged, so the
     returned value is good to ~a_N'/2 where successive differences have shrunk
     far below the slack itself.
@@ -168,7 +181,7 @@ def alt_tail_bound(
         raise DomainError("m must be >= 1")
     if not (slack > 0.0):
         raise DomainError("slack must be > 0")
-    probe = np.asarray(sequence(np.arange(m, m + contract_check_terms, dtype=np.int64)),
+    probe = np.asarray(sequence(np.arange(m, m + 10_000, dtype=np.int64)),
                        dtype=np.float64)
     if probe.size and (not np.all(probe > 0.0) or np.any(np.diff(probe) > 0.0)):
         raise SequenceContractError(
@@ -225,15 +238,12 @@ def run_prop1_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     # include exact cancellation pairs, the equality case
     k = max(1, cases // 100)
     z2[:k] = -z1[:k]
-    lhs = np.abs(z1 + z2)
-    rhs = np.abs(np.abs(z1) - np.abs(z2))
-    slack = 1e-9 * (1.0 + np.abs(z1) + np.abs(z2))
-    violation = rhs - lhs
-    failures = int(np.sum(violation > slack))
-    return PropSuiteResult("prop1", cases, failures, float(np.max(violation)), seed)
+    check = reverse_triangle_check(z1, z2)
+    failures = int(np.sum(~check.holds))
+    return PropSuiteResult("prop1", cases, failures, float(np.max(check.rhs - check.lhs)), seed)
 
 
-def run_prop2_suite(cases: int = 10_000, seed: int = 0, grid: int = 256) -> PropSuiteResult:
+def run_prop2_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     """Modulus <= a on t-grids, equality only on the major axis when a > b.
 
     From a^2 - |(x,y)|^2 = (a^2-b^2) sin^2 t it follows that
@@ -244,15 +254,15 @@ def run_prop2_suite(cases: int = 10_000, seed: int = 0, grid: int = 256) -> Prop
     axes = np.exp(rng.uniform(-3.0, 3.0, (cases, 2)))
     a = np.max(axes, axis=1)
     b = np.min(axes, axis=1)
-    t = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     worst = 0.0
     failures = 0
     chunk = 512
     for i0 in range(0, cases, chunk):
         aa = a[i0 : i0 + chunk, None]
         bb = b[i0 : i0 + chunk, None]
-        mod = np.hypot(aa * np.cos(t), bb * np.sin(t))
-        slack = 1e-12 * (1.0 + aa)
+        mod = np.hypot(*ellipse_point(EllipseParams(aa, bb, t)))
+        slack = _slack(aa)
         over = mod - aa
         failures += int(np.sum(np.any(over > slack, axis=1)))
         worst = max(worst, float(np.max(over)))
@@ -271,55 +281,36 @@ def run_prop3_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     third = cases // 3
     v[:third] = 0.0
     u[third : 2 * third] = 0.0
-    mod = np.hypot(u, v)
-    total = u + v
-    slack = BASE_SLACK * (1.0 + np.abs(u) + np.abs(v))
-    equal = np.abs(mod - total) <= slack
-    should = (np.abs(u * v) <= slack) & (total >= -slack)
-    mismatch = equal != should
+    check = additive_modulus_check(u, v)
+    mismatch = check.equal != check.iff_condition
     failures = int(np.sum(mismatch))
-    worst = float(np.max(np.abs(mod - total) * mismatch)) if failures else 0.0
+    worst = float(np.max(np.abs(check.modulus - check.sum) * mismatch)) if failures else 0.0
     return PropSuiteResult("prop3", cases, failures, worst, seed)
 
 
-def run_prop4_suite(cases: int = 10_000, seed: int = 0, grid: int = 4096) -> PropSuiteResult:
+def run_prop4_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     """Reconstruction identity to 1e-11*(1+r) plus the (a, b, r) orderings."""
     rng = np.random.default_rng(seed)
     r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), cases))
     delta = r * rng.uniform(-1.0, 1.0, cases)
-    a = r + delta
-    b = np.hypot(r, delta)
-    phi = -np.arctan2(delta, r)
-    t = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    cos_t, sin_t = np.cos(t), np.sin(t)
     failures = 0
     worst = 0.0
     chunk = 256
     for i0 in range(0, cases, chunk):
-        sl = slice(i0, min(i0 + chunk, cases))
-        lhs = r[sl, None] * (cos_t + sin_t)
-        rhs = a[sl, None] * cos_t + b[sl, None] * np.sin(t + phi[sl, None])
-        err = np.max(np.abs(lhs - rhs), axis=1)
-        tol = 1e-11 * (1.0 + r[sl])
-        failures += int(np.sum(err > tol))
-        worst = max(worst, float(np.max(err / (1.0 + r[sl]))))
-    eps_ord = BASE_SLACK * (1.0 + r)
-    pos = delta >= 0.0
-    ord_ok = np.where(
-        pos,
-        (r <= b + eps_ord) & (b <= a + eps_ord),
-        (a <= r + eps_ord) & (r <= b + eps_ord),
-    )
-    failures += int(np.sum(~ord_ok))
+        dec = circle_decomposition(r[i0 : i0 + chunk], delta[i0 : i0 + chunk])
+        err = reconstruction_max_error(dec)
+        failures += int(np.sum(err > 1e-11 * (1.0 + dec.r))) + int(np.sum(~dec.ordered))
+        worst = max(worst, float(np.max(err / (1.0 + dec.r))))
     return PropSuiteResult("prop4", cases, failures, worst, seed)
 
 
-def run_prop5_suite(cases: int = 10_000, seed: int = 0, max_m: int = 50) -> PropSuiteResult:
+def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     """Partial-sum monotonicity and |S_m| <= a_m on random admissible sequences.
 
     Families (all completely monotone, so the Chebyshev reference limit is
     rigorous): n^(-p), geometric q^n, and shifted power (n+c)^(-p).
     """
+    max_m = 50  # |S_m| <= a_m is checked for m <= max_m
     rng = np.random.default_rng(seed)
     n = np.arange(1, max_m + 2, dtype=np.float64)
     failures = 0

@@ -106,6 +106,12 @@ class TestAdditiveModulus:
         assert not check.equal
 
 
+    def test_iff_condition(self):
+        assert additive_modulus_check(5.0, 0.0).iff_condition
+        assert not additive_modulus_check(3.0, 4.0).iff_condition
+        assert not additive_modulus_check(-2.0, 0.0).iff_condition
+
+
 class TestCircleDecomposition:
     def test_zero_offset_is_identity(self):
         dec = circle_decomposition(1.0, 0.0)
@@ -144,6 +150,67 @@ class TestCircleDecomposition:
             assert dec.r <= dec.b + eps <= dec.a + 2 * eps
         else:
             assert dec.a <= dec.r + eps <= dec.b + 2 * eps
+
+
+class TestBatchOfOne:
+    """An array call gives, at each index, the fields of the scalar call."""
+
+    N = 500
+
+    @staticmethod
+    def _assert_batch_matches(batch, scalar_at, n):
+        for i in range(n):
+            single = scalar_at(i)
+            for name, column in zip(single._fields, batch):
+                assert column[i] == getattr(single, name), (name, i)
+
+    def test_reverse_triangle(self):
+        rng = np.random.default_rng(101)
+        z1 = rng.uniform(-1e3, 1e3, self.N) + 1j * rng.uniform(-1e3, 1e3, self.N)
+        z2 = rng.uniform(-1e3, 1e3, self.N) + 1j * rng.uniform(-1e3, 1e3, self.N)
+        z2[:5] = -z1[:5]
+        self._assert_batch_matches(
+            reverse_triangle_check(z1, z2),
+            lambda i: reverse_triangle_check(complex(z1[i]), complex(z2[i])), self.N)
+
+    def test_ellipse_point(self):
+        rng = np.random.default_rng(102)
+        axes = np.exp(rng.uniform(-3.0, 3.0, (self.N, 2)))
+        a, b = axes.max(axis=1), axes.min(axis=1)
+        t = rng.uniform(0.0, 2.0 * math.pi, self.N)
+        xs, ys = ellipse_point(EllipseParams(a, b, t))
+        for i in range(self.N):
+            x, y = ellipse_point(EllipseParams(float(a[i]), float(b[i]), float(t[i])))
+            assert (xs[i], ys[i]) == (x, y), i
+        with pytest.raises(DomainError):
+            EllipseParams(a, np.where(np.arange(self.N) == 7, 2.0 * a, b), t)
+
+    def test_additive_modulus(self):
+        rng = np.random.default_rng(103)
+        u = rng.uniform(-100.0, 100.0, self.N)
+        v = rng.uniform(-100.0, 100.0, self.N)
+        v[:100] = 0.0
+        u[100:200] = 0.0
+        batch = additive_modulus_check(u, v)
+        assert batch.equal[:200].sum() > 0 and not batch.equal[200:].any()
+        self._assert_batch_matches(
+            batch, lambda i: additive_modulus_check(float(u[i]), float(v[i])), self.N)
+
+    def test_circle_decomposition(self):
+        rng = np.random.default_rng(104)
+        r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), self.N))
+        delta = r * rng.uniform(-1.0, 1.0, self.N)
+        dec = circle_decomposition(r, delta)
+        errors = reconstruction_max_error(dec)
+        ordered = dec.ordered
+        for i in range(self.N):
+            one = circle_decomposition(float(r[i]), float(delta[i]))
+            for name in ("r", "delta", "a", "b", "phi"):
+                assert getattr(dec, name)[i] == getattr(one, name), (name, i)
+            assert errors[i] == reconstruction_max_error(one), i
+            assert ordered[i] == one.ordered, i
+        with pytest.raises(DomainError):
+            circle_decomposition(r, np.where(np.arange(self.N) == 7, 2.0 * r, delta))
 
 
 class TestAltTailBound:
