@@ -13,6 +13,7 @@ Exit codes: 0 success/clean scan; 2 bound violation found under --strict;
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .decomposition import DEFAULT_THETA, decompose_from_eta
@@ -91,6 +92,10 @@ def parse_range(text: str, name: str) -> tuple[float, float]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # -1+0i, -1:1 are values
+
     def error(self, message):  # route argparse failures to exit code 64
         raise UsageError(message)
 
@@ -123,7 +128,7 @@ def _build_parser() -> _Parser:
                        help="line alpha (with --beta lo:hi)")
     p_pca.add_argument("--beta", default=None, dest="beta_range", metavar="BETA",
                        help="beta range lo:hi")
-    p_pca.add_argument("--step", type=float, default=1.0)
+    p_pca.add_argument("--step", type=float, default=None)
     p_pca.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p_pca.add_argument("--tol", type=float, default=1e-10)
     p_pca.add_argument("--engine", default="checked", choices=ENGINES)
@@ -172,6 +177,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             raise UsageError("pca needs either --s or --alpha with --beta")
         if ns.s is None and ns.beta_range is None:
             raise UsageError("pca line mode needs --beta lo:hi")
+        if ns.s is not None and (ns.beta_range, ns.step) != (None, None):
+            raise UsageError("pca point mode takes no --beta or --step")
     if getattr(ns, "s", None) is not None:
         ns.s = parse_complex_literal(ns.s)
     if getattr(ns, "alpha_range", None) is not None:
@@ -233,10 +240,11 @@ def _run_pca(cfg: argparse.Namespace) -> int:
     else:
         alpha = cfg.alpha_range[0]
         lo, hi = cfg.beta_range
-        if not (cfg.step > 0.0):
+        step = 1.0 if cfg.step is None else cfg.step
+        if not (step > 0.0):
             raise UsageError("--step must be > 0")
-        count = _grid_count(lo, hi, cfg.step)
-        points = [ComplexPoint(alpha, lo + i * cfg.step) for i in range(count)]
+        count = _grid_count(lo, hi, step)
+        points = [ComplexPoint(alpha, lo + i * step) for i in range(count)]
     rows = tuple(decompose_from_eta(p, eta_eval(p, cfg.tol, cfg.engine).value, cfg.theta)
                  for p in points)
     _emit(PcaReport(tol=cfg.tol, rows=rows), cfg)

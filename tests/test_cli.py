@@ -142,6 +142,22 @@ class TestUsageErrors:
         (["eval", "--s", "0.5+14.1i", "--engine", "partial", "--tol", "1e-12"], 3,
          "numerical failure: partial engine certifies a tolerance only on the real axis "
          "(beta = 0)"),
+        # a value starting with '-' reaches its own parser; a missing one does not
+        (["eval", "--s", "-1+0i"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-1.0"),
+        (["eval", "--s", "-0.5i"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=0.0"),
+        (["eval", "--s", "1+0i", "--tol", "-1e-3"], 64, "usage error: --tol must be > 0"),
+        (["scan", "--alpha", "0.5", "--beta", "-1:-2"], 64,
+         "usage error: beta range '-1:-2' is empty (hi < lo)"),
+        (["scan", "--alpha", "-0.5:0.5", "--beta", "0:1"], 64,
+         "invalid parameter: alpha range must lie in (0, inf)"),
+        (["zeros", "--t", "-1:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
+        (["eval", "--s", "--tol", "1e-9"], 64, "usage error: argument --s: expected one argument"),
+        (["pca", "--s", "1+0i", "--beta", "garbage"], 64,
+         "usage error: pca point mode takes no --beta or --step"),
+        (["pca", "--s", "1+0i", "--step", "-5"], 64,
+         "usage error: pca point mode takes no --beta or --step"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
