@@ -58,7 +58,7 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 QUARTER_TURN = cmath.exp(-1j * math.pi / 4.0)
 
-DEFAULT_PANELS = 4096
+INNER_PRODUCT_PANELS = 4096
 DEFAULT_THETA = math.pi / 4.0
 
 
@@ -122,19 +122,17 @@ def theta_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def inner_product_w1_w2(
-    s, tol: float, panels: int = DEFAULT_PANELS, engine: str = "checked"
-) -> InnerProductResult:
+def inner_product_w1_w2(s, tol: float) -> InnerProductResult:
     """integral_0^{2 pi} w1 w2 dtheta by trapezoid quadrature and in closed form.
 
     The two routes must agree within tol; a larger discrepancy means the
     harmonic bookkeeping is broken, so it raises rather than returns.
     """
     p = as_point(s)
-    dec = decompose_from_eta(p, eta_eval(p, tol, engine).value)
+    dec = decompose_from_eta(p, eta_eval(p, tol).value)
     c1 = SQRT2 * QUARTER_TURN * second_term(p)
     c2 = SQRT2 * QUARTER_TURN * dec.tail3
-    nodes, weights = theta_grid(panels)
+    nodes, weights = theta_grid(INNER_PRODUCT_PANELS)
     phase = np.exp(1j * nodes)
     w1 = np.real(c1 * phase)
     w2 = np.real(c2 * phase)

@@ -74,6 +74,7 @@ ENGINES = ("partial", "euler", "accel", "checked")
 MAX_PARTIAL_TERMS = 20_000_000
 MAX_ACCEL_STAGES = 4096
 MAX_EULER_HEAD = 400_000
+ZETA_EXCLUSION = 1e-6  # least |1 - 2^(1-s)| zeta_from_eta divides by
 
 # read-only cache of ln n, n = 1..size; grown before parallel sections
 _LOG_TABLE_LIMIT = 1_000_000
@@ -283,8 +284,7 @@ def _frexp_add(acc_m: float, acc_e: int, m: float, e: int) -> tuple[float, int]:
 
 @functools.cache
 def _crvz_weights(n: int) -> np.ndarray:
-    """(-1)^k e_k, with e_k = (d_n - d_k)/d_n for k < n and
-    d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!).
+    """(-1)^k e_k, e_k = (d_n - d_k)/d_n for k < n, d_k = n sum_{i<=k} (n+i-1)! 4^i/((n-i)! (2i)!).
 
     The addends t_i are positive with t_{i+1} = t_i * 4(n+i)(n-i)/((2i+1)(2i+2)),
     peaking near 4^n, so sums are accumulated as (mantissa, exponent) pairs.
@@ -475,10 +475,10 @@ def factor_zero(k: int) -> ComplexPoint:
     return ComplexPoint(1.0, 2.0 * k * math.pi / LN2)
 
 
-def zeta_from_eta(s: PointLike, tol: float, *, exclusion: float = 1e-6) -> EvalResult:
+def zeta_from_eta(s: PointLike, tol: float) -> EvalResult:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) with propagated error estimate.
 
-    Rejects points where |1 - 2^(1-s)| < exclusion: near s = 1 this is the
+    Rejects points where |1 - 2^(1-s)| < ZETA_EXCLUSION: near s = 1 this is the
     zeta pole (SingularityError), near the factor zeros s_k it is an
     ill-conditioned division (IllConditionedError).
     """
@@ -486,14 +486,14 @@ def zeta_from_eta(s: PointLike, tol: float, *, exclusion: float = 1e-6) -> EvalR
     _require_alpha_positive(p)
     factor = conversion_factor(p)
     fabs = abs(factor)
-    if fabs < exclusion:
+    if fabs < ZETA_EXCLUSION:
         if abs(p.beta) < math.pi / LN2:
             raise SingularityError(
                 f"s={p.to_complex():g} is within the exclusion radius of the pole at s=1"
             )
         raise IllConditionedError(
             f"conversion factor {fabs:g} at s={p.to_complex():g} is below the "
-            f"exclusion threshold {exclusion:g}"
+            f"exclusion threshold {ZETA_EXCLUSION:g}"
         )
     res = eta_eval(p, tol)
     value = res.value / factor

@@ -13,10 +13,9 @@
    for positive, monotone decreasing, vanishing a_n.
 
 Each check returns the compared quantities plus a verdict instead of a bare
-boolean so failures stay diagnosable.  Checks 1-4 work elementwise on numpy
-arrays, so a scalar call is a batch of one.  The seeded randomized campaigns
-behind the ``props`` CLI subcommand (``run_all_suites``) are those checks run on
-seeded arrays and reduced to a failure count and a worst violation.
+boolean so failures stay diagnosable.  Checks 1-4 work elementwise on arrays (a
+scalar call is a batch of one), and the seeded campaigns behind ``props``
+(``run_all_suites``) are those checks on seeded arrays, reduced to a verdict.
 
 Equality slack everywhere: 1e-12 scaled by (1 + magnitude of the operands).
 """
@@ -87,9 +86,8 @@ class CircleDecomposition:
     def ordered(self):
         """delta >= 0 => r <= b <= a and delta < 0 => a <= r <= b, within the slack."""
         eps = _slack(self.r)
-        return np.where(self.delta >= 0.0,
-                        (self.r <= self.b + eps) & (self.b <= self.a + eps),
-                        (self.a <= self.r + eps) & (self.r <= self.b + eps))
+        return (self.r <= self.b + eps) & np.where(self.delta >= 0.0, self.b <= self.a + eps,
+                                                   self.a <= self.r + eps)
 
 
 class ReverseTriangleCheck(NamedTuple):
@@ -262,14 +260,10 @@ def run_prop2_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
         aa = a[i0 : i0 + chunk, None]
         bb = b[i0 : i0 + chunk, None]
         mod = np.hypot(*ellipse_point(EllipseParams(aa, bb, t)))
-        slack = _slack(aa)
-        over = mod - aa
-        failures += int(np.sum(np.any(over > slack, axis=1)))
-        worst = max(worst, float(np.max(over)))
-        # strict drop away from the axis endpoints
-        interior = mod - (aa - 0.5 * (aa - bb) * np.sin(t) ** 2)
-        failures += int(np.sum(np.any(interior > slack, axis=1)))
-        worst = max(worst, float(np.max(interior)))
+        # modulus <= a, then the strict drop away from the axis endpoints
+        for excess in (mod - aa, mod - (aa - 0.5 * (aa - bb) * np.sin(t) ** 2)):
+            failures += int(np.sum(np.any(excess > _slack(aa), axis=1)))
+            worst = max(worst, float(np.max(excess)))
     return PropSuiteResult("prop2", cases, failures, worst, seed)
 
 

@@ -61,9 +61,12 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 WORKER_ENV_VAR = "ETAFLOOR_MAX_WORKERS"
 DEFAULT_SCAN_TOL = 1e-9
-DEFAULT_REFINE_XTOL = 1e-6
+SCAN_REFINE_XTOL = 1e-6
 DEFAULT_ZERO_TOL = 1e-8
 ZERO_REFINE_XTOL = 1e-10
+ZERO_GRID_STEP = 0.01
+GOLDEN_MAX_ITER = 200
+ZERO_GEOMETRY_TOL = 1e-10
 ZERO_ENGINE_GAP_LIMIT = 1e-9
 
 
@@ -137,9 +140,7 @@ class ZeroGeometry(NamedTuple):
 
 def bound_floor(alpha: float) -> float:
     """Candidate floor |1 - sqrt(2) * 2^(-alpha)|; zero exactly at alpha = 1/2."""
-    if not (alpha > 0.0):
-        raise DomainError("alpha must be > 0")
-    return abs(1.0 - SQRT2 / 2.0**alpha)
+    return abs(1.0 - tail_bound(alpha))
 
 
 def tail_bound(alpha: float) -> float:
@@ -243,8 +244,7 @@ def _abs_eta(s: ComplexPoint, tol: float, engine: str) -> float:
 # ----------------------------------------------------------------------------
 
 def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float, xtol: float
 ) -> tuple[float, float]:
     """Minimum of a unimodal f on [lo, hi]; returns the best evaluated point.
 
@@ -259,7 +259,7 @@ def golden_section_min(
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if (b - a) <= xtol:
             break
         if fc <= fd:
@@ -326,7 +326,6 @@ def scan_line(
     *,
     workers: int = 1,
     engine: str = "checked",
-    refine_xtol: float = DEFAULT_REFINE_XTOL,
 ) -> LineScanReport:
     """Sample |eta(alpha + i beta)| on a beta grid and refine every local minimum.
 
@@ -355,8 +354,8 @@ def scan_line(
     eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
     beta_set = {smp.s.beta for smp in samples}
     refined: list[BoundSample] = []
-    for i, x, _ in _refine_basins(eta_abs_values, alpha, beta_min, step, refine_xtol, eval_tol,
-                                  engine):
+    for i, x, _ in _refine_basins(eta_abs_values, alpha, beta_min, step, SCAN_REFINE_XTOL,
+                                  eval_tol, engine):
         if x in beta_set:
             continue
         try:
@@ -398,7 +397,6 @@ def scan_grid(
     *,
     workers: int = 1,
     engine: str = "checked",
-    refine_xtol: float = DEFAULT_REFINE_XTOL,
 ) -> GridReport:
     """scan_line over an alpha grid, with global extremes."""
     a_lo, a_hi = alpha_range
@@ -418,7 +416,6 @@ def scan_grid(
             tol,
             workers=workers,
             engine=engine,
-            refine_xtol=refine_xtol,
         )
         for j in range(n_alpha)
     )
@@ -469,7 +466,7 @@ def survey_zeros(
     t_hi: float,
     tol: float = DEFAULT_ZERO_TOL,
     *,
-    grid_step: float = 0.01,
+    grid_step: float = ZERO_GRID_STEP,
     workers: int = 1,
     engine: str = "checked",
 ) -> list[ZeroRecord]:
@@ -494,7 +491,6 @@ def locate_zero(
     t_hi: float,
     tol: float = DEFAULT_ZERO_TOL,
     *,
-    grid_step: float = 0.01,
     engine: str = "checked",
 ) -> ZeroRecord:
     """Best zero candidate inside one bracket, or NoZeroFoundError.
@@ -506,7 +502,7 @@ def locate_zero(
     """
     if not (0.0 < t_lo < t_hi):
         raise DomainError("need 0 < t_lo < t_hi")
-    candidates = _zero_candidates(t_lo, t_hi, tol, grid_step, 1, engine, whole_bracket=True)
+    candidates = _zero_candidates(t_lo, t_hi, tol, ZERO_GRID_STEP, 1, engine, whole_bracket=True)
     t_star, residual, gap = min(candidates, key=lambda c: (c[1], c[0]))
     if residual >= tol:
         raise NoZeroFoundError(
@@ -524,7 +520,7 @@ def locate_zero(
     return ZeroRecord(t_star, residual, gap, (t_lo, t_hi))
 
 
-def zero_geometry(record: ZeroRecord, tol: float = 1e-10) -> ZeroGeometry:
+def zero_geometry(record: ZeroRecord) -> ZeroGeometry:
     """Angle between the remaining-terms vector and the n = 2 term at a zero.
 
     At s0 = 1/2 + i t the conjugated series splits as u2 + R = eta_bar(s0) - 1
@@ -532,8 +528,7 @@ def zero_geometry(record: ZeroRecord, tol: float = 1e-10) -> ZeroGeometry:
     arg(R) - arg(u2) normalized to [0, 2*pi).  Reported, not asserted.
     """
     s0 = ComplexPoint(0.5, record.t)
-    eval_tol = max(tol, 1e-13)
-    eta_bar = eta_eval(s0, eval_tol).value.conjugate()
+    eta_bar = eta_eval(s0, ZERO_GEOMETRY_TOL).value.conjugate()
     u2 = second_term(s0)
     remainder = eta_bar - 1.0 - u2
     if abs(u2) < 1e-14 or abs(remainder) < 1e-14:
