@@ -49,6 +49,7 @@ __all__ = [
     "MaxStarResult",
     "second_term",
     "w1_component",
+    "tail_bound",
     "inner_product_w1_w2",
     "decompose_from_eta",
     "max_star_w",
@@ -105,6 +106,13 @@ def w1_component(s, theta: float) -> float:
     """First component -(sqrt(2)/2^alpha) cos(beta ln 2 + theta - pi/4)."""
     p = as_point(s)
     return -(SQRT2 / 2.0**p.alpha) * math.cos(p.beta * LN2 + theta - math.pi / 4.0)
+
+
+def tail_bound(alpha: float) -> float:
+    """Remainder bound sqrt(2)/2^alpha on the rotated-tail objective."""
+    if not (alpha > 0.0):
+        raise DomainError("alpha must be > 0")
+    return SQRT2 / 2.0**alpha
 
 
 def theta_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +193,8 @@ def decompose_from_eta(s, eta_value: complex, theta: float = DEFAULT_THETA) -> T
 def max_star_w(alpha: float, tol: float) -> MaxStarResult:
     """Peak objective |sum_{n>=2} (-1)^(n+1) sqrt(2)/n^alpha| = sqrt(2)(1 - eta(alpha))
     against the remainder bound sqrt(2)/2^alpha."""
-    if not (alpha > 0.0):
-        raise DomainError("alpha must be > 0")
+    bound = tail_bound(alpha)
     res = eta_eval(ComplexPoint(alpha, 0.0), tol)
     value = SQRT2 * abs(res.value.real - 1.0)
-    bound = SQRT2 / 2.0**alpha
     slack = 2.0 * SQRT2 * res.abs_error_estimate + 1e-15 * (1.0 + bound)
     return MaxStarResult(value, bound, value <= bound + slack)

@@ -154,9 +154,10 @@ def reconstruction_max_error(dec: CircleDecomposition, n_points: int = 4096) -> 
     """max_t |r cos t + r sin t - a cos t - b sin(t + phi)| over a uniform grid."""
     t = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     r, a, b, phi = (np.asarray(x)[..., None] for x in (dec.r, dec.a, dec.b, dec.phi))
-    lhs = r * (np.cos(t) + np.sin(t))
-    rhs = a * np.cos(t) + b * np.sin(t + phi)
-    return np.max(np.abs(lhs - rhs), axis=-1)
+    rhs = b * np.sin(t + phi)
+    rhs += a * np.cos(t)  # in place: each batch-sized temporary costs page faults
+    err = r * (np.cos(t) + np.sin(t)) - rhs
+    return np.max(np.abs(err, out=err), axis=-1)
 
 
 def alt_tail_bound(

@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .decomposition import LeadingComponent, decompose_from_eta, second_term
+from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 from .eta import ComplexPoint, as_point, eta_accel, eta_eval, eta_euler, accel_stages_for
 from .exceptions import (
     CrossCheckError,
@@ -46,7 +46,6 @@ __all__ = [
     "ZeroRecord",
     "ZeroGeometry",
     "bound_floor",
-    "tail_bound",
     "tail_inequality_check",
     "scan_line",
     "scan_grid",
@@ -56,7 +55,6 @@ __all__ = [
     "zero_geometry",
 ]
 
-SQRT2 = math.sqrt(2.0)
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 WORKER_ENV_VAR = "ETAFLOOR_MAX_WORKERS"
@@ -141,13 +139,6 @@ class ZeroGeometry(NamedTuple):
 def bound_floor(alpha: float) -> float:
     """Candidate floor |1 - sqrt(2) * 2^(-alpha)|; zero exactly at alpha = 1/2."""
     return abs(1.0 - tail_bound(alpha))
-
-
-def tail_bound(alpha: float) -> float:
-    """Remainder bound sqrt(2)/2^alpha on the rotated-tail objective."""
-    if not (alpha > 0.0):
-        raise DomainError("alpha must be > 0")
-    return SQRT2 / 2.0**alpha
 
 
 def tail_inequality_check(s, tol: float, engine: str = "checked") -> BoundSample:
