@@ -105,7 +105,6 @@ class TestAdditiveModulus:
         assert check.sum == -2.0
         assert not check.equal
 
-
     def test_iff_condition(self):
         assert additive_modulus_check(5.0, 0.0).iff_condition
         assert not additive_modulus_check(3.0, 4.0).iff_condition
