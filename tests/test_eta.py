@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -242,6 +243,32 @@ class TestEtaEval:
         monkeypatch.setattr(eta_mod, "eta_accel", corrupted)
         with pytest.raises(CrossCheckError):
             eta_mod.eta_eval(1.0, 1e-12)
+
+
+PINS = Path(__file__).resolve().parent / "golden" / "eta_eval_pins.tsv"
+
+
+class TestPinnedOutcomes:
+    """eta_eval's exact bits (value, estimate, method, terms) or its exact
+    error at 60 points per engine and tol (fixture: tests/golden/generate.py)."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("engine", ["euler", "accel", "checked"])
+    def test_matches_pins(self, engine, tol):
+        rows = [line.split("\t") for line in PINS.read_text(encoding="utf-8").splitlines()]
+        rows = [row for row in rows if row[2] == engine and float(row[3]) == tol]
+        assert len(rows) == 60
+        for alpha, beta, _, _, kind, *expected in rows:
+            s = ComplexPoint(float(alpha), float(beta))
+            if kind == "error":
+                with pytest.raises(Exception) as info:
+                    eta_eval(s, tol, engine)
+                assert [type(info.value).__name__, str(info.value)] == expected, s
+                continue
+            res = eta_eval(s, tol, engine)
+            got = [res.value.real.hex(), res.value.imag.hex(), res.abs_error_estimate.hex(),
+                   res.method, str(res.terms_used)]
+            assert got == expected, s
 
 
 class TestConjugate:

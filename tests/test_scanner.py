@@ -210,6 +210,16 @@ class TestScanGrid:
         with pytest.raises(DomainError):
             scan_grid((0.6, 0.8), (5.0, 1.0), 0.2, 0.1)
 
+    def test_pooled_grid_bytes_equal_serial(self):
+        from etafloor.reporting import serialize_report
+
+        # the alpha = 0.05 line fails at most points, the others refine basins
+        grids = [scan_grid((0.05, 0.75), (995.0, 1001.0), 0.35, 0.05, workers=w)
+                 for w in (1, 2)]
+        assert grids[0].lines[0].failures and grids[0].lines[2].samples
+        for fmt in ("csv", "json"):
+            assert serialize_report(grids[1], fmt) == serialize_report(grids[0], fmt)
+
 
 class TestZeros:
     def test_locate_first_zero(self):
