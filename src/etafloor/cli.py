@@ -17,7 +17,7 @@ import re
 import sys
 
 from .decomposition import DEFAULT_THETA, decompose_from_eta
-from .eta import ENGINES, ComplexPoint, eta_eval
+from .eta import ENGINES, ComplexPoint, eta_eval, eta_line
 from .exceptions import DomainError, EtaFloorError
 from .propositions import run_all_suites
 from .reporting import (
@@ -245,8 +245,11 @@ def _run_pca(cfg: argparse.Namespace) -> int:
             raise UsageError("--step must be > 0")
         count = _grid_count(lo, hi, step)
         points = [ComplexPoint(alpha, lo + i * step) for i in range(count)]
-    rows = tuple(decompose_from_eta(p, eta_eval(p, cfg.tol, cfg.engine).value, cfg.theta)
-                 for p in points)
+    results = eta_line(points[0].alpha, [p.beta for p in points], cfg.tol, cfg.engine)
+    for res in results:
+        if isinstance(res, EtaFloorError):
+            raise res
+    rows = tuple(decompose_from_eta(p, res.value, cfg.theta) for p, res in zip(points, results))
     _emit(PcaReport(tol=cfg.tol, rows=rows), cfg)
     return EXIT_OK
 

@@ -36,6 +36,7 @@ import numpy as np
 from .exceptions import (
     CrossCheckError,
     DomainError,
+    EtaFloorError,
     IllConditionedError,
     NonConvergenceError,
     SingularityError,
@@ -51,6 +52,7 @@ __all__ = [
     "eta_accel",
     "accel_stages_for",
     "eta_eval",
+    "eta_line",
     "eta_conjugate",
     "conversion_factor",
     "factor_zero",
@@ -74,11 +76,14 @@ ENGINES = ("partial", "euler", "accel", "checked")
 MAX_PARTIAL_TERMS = 20_000_000
 MAX_ACCEL_STAGES = 4096
 MAX_EULER_HEAD = 400_000
+BLOCK_POINTS = 128  # most points eta_line evaluates together
+BLOCK_ELEMENTS = 4096  # most entries of one exp(-s ln n) matrix (one row always fits)
 ZETA_EXCLUSION = 1e-6  # least |1 - 2^(1-s)| zeta_from_eta divides by
 
 # read-only cache of ln n, n = 1..size; grown before parallel sections
 _LOG_TABLE_LIMIT = 1_000_000
 _logs = np.log(np.arange(1, 4097, dtype=np.float64))
+_JS = np.arange(1.0, 97.0)  # Euler tail-length model: corrections j = 1..96
 
 
 @dataclass(frozen=True)
@@ -211,59 +216,65 @@ def _euler_weights(m: int) -> np.ndarray:
     return W
 
 
-def _euler_tail_length(s: complex, head: int, tol: float) -> int:
-    """Number of difference terms so the modelled ladder lands well under tol.
+def _euler_tail_lengths(s: list[complex], heads: list[int], tol: float) -> list[int]:
+    """Per point, the number of difference terms so the modelled ladder lands
+    well under tol.
 
     Correction j decays roughly like prod (|s|+j)/(2(head+1+j)) relative to the
     first tail term; target tol*1e-4 so the heuristic estimate clears tol.
     """
-    js = np.arange(1.0, 97.0)
-    ratio = (abs(s) + js) / (2.0 * (head + 1.0 + js))
-    log_first = -s.real * math.log(head + 1.0)
-    cum = log_first + np.cumsum(np.log(ratio))
-    target = math.log(max(tol, 1e-300)) + math.log(1e-4)
-    hit = np.nonzero(cum <= target)[0]
-    m = int(hit[0]) + 1 if hit.size else 96
-    return max(16, min(96, ((m + 7) // 8) * 8))
+    # 2(head+1+j) is an exact integer, so it may be formed in any order
+    ratio = np.add.outer(np.array([abs(z) for z in s]), _JS)
+    ratio /= np.add.outer(2.0 * np.array(heads, dtype=np.float64) + 2.0, 2.0 * _JS)
+    cum = np.log(ratio, out=ratio).cumsum(axis=1)
+    cum += np.array([-z.real * math.log(head + 1.0) for z, head in zip(s, heads)])[:, None]
+    hit = cum <= math.log(max(tol, 1e-300)) + math.log(1e-4)
+    first = hit.argmax(axis=1)
+    found = hit[np.arange(len(s)), first].tolist()
+    return [max(16, min(96, ((k + 8) // 8) * 8)) if ok else 96
+            for k, ok in zip(first.tolist(), found)]
 
 
-def _euler_attempt(sc: complex, head: int, m: int) -> tuple[complex, float, int]:
+def _euler_rows(pows: np.ndarray, betas, head: int, m: int) -> list[tuple[complex, float]]:
+    """(value, estimate) of the Euler attempt (head, m) per row, where row r of
+    `pows` is n^(-s_r) for n = 1..head+m."""
     lnn = _log_range(head + m)
-    pows = np.exp(-sc * lnn)
-    head_sum = complex(np.sum(_alternating_signs(head) * pows[:head]))
-    b = pows[head:]
-    tail_sign = 1.0 if head % 2 == 0 else -1.0
-    tail = tail_sign * complex(np.sum(_euler_weights(m) * b))
-    m2 = m - 8
-    tail2 = tail_sign * complex(np.sum(_euler_weights(m2) * b[:m2]))
+    head_sums = (_alternating_signs(head) * pows[:, :head]).sum(axis=1)
+    b = pows[:, head:]
+    full = (_euler_weights(m) * b).sum(axis=1)
+    short = (_euler_weights(m - 8) * b[:, : m - 8]).sum(axis=1)
     absp = np.abs(pows)
-    floor = EPS * (2.0 * float(np.sum(absp)) + abs(sc.imag) * float(np.dot(absp, lnn)))
-    est = 10.0 * abs(tail - tail2) + floor
-    return head_sum + tail, est, head + m
+    tail_sign = 1.0 if head % 2 == 0 else -1.0
+    out = []
+    for head_sum, tail, tail2, abs_sum, row, beta in zip(
+            head_sums.tolist(), full.tolist(), short.tolist(), absp.sum(axis=1).tolist(), absp,
+            betas):
+        tail = tail_sign * tail
+        tail2 = tail_sign * tail2
+        floor = EPS * (2.0 * abs_sum + abs(beta) * float(np.dot(row, lnn)))
+        out.append((head_sum + tail, 10.0 * abs(tail - tail2) + floor))
+    return out
+
+
+def _euler_ladder(z: complex, head: int, m: int, tol: float,
+                  est: float) -> tuple[complex, float, int] | NonConvergenceError:
+    """The retry ladder for a point whose first Euler attempt (head, m) missed
+    tol with estimate `est`: (value, estimate, terms) of the first rung that
+    certifies, or the error."""
+    for head, m in ((head, min(96, m + 16)), (2 * head, 96), (4 * head, 96)):
+        if head > MAX_EULER_HEAD:
+            break
+        value, est = _euler_rows(_powers([z], head + m), [z.imag], head, m)[0]
+        if est <= tol:
+            return value, est, head + m
+    return NonConvergenceError(
+        f"euler engine cannot certify tol={tol:g} at s={z:g} (best estimate {est:g})"
+    )
 
 
 def eta_euler(s: PointLike, tol: float) -> EvalResult:
     """eta(s) via a direct head plus the Euler transformation of the tail."""
-    p = as_point(s)
-    _require_alpha_positive(p)
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
-    sc = p.to_complex()
-    head = max(32, int(math.ceil(abs(p.beta))))
-    m = _euler_tail_length(sc, head, tol)
-    value, est, terms = _euler_attempt(sc, head, m)
-    if est > tol:
-        for head, m in ((head, min(96, m + 16)), (2 * head, 96), (4 * head, 96)):
-            if head > MAX_EULER_HEAD:
-                break
-            value, est, terms = _euler_attempt(sc, head, m)
-            if est <= tol:
-                break
-    if est > tol:
-        raise NonConvergenceError(
-            f"euler engine cannot certify tol={tol:g} at s={sc:g} (best estimate {est:g})"
-        )
-    return EvalResult(value, est, "euler", terms)
+    return _eval_one(s, tol, "euler")
 
 
 # ----------------------------------------------------------------------------
@@ -327,9 +338,11 @@ def _log_total_variation(s: complex) -> float:
     return math.lgamma(s.real) - _log_abs_gamma(s)
 
 
-def _chebyshev_truncation(s: complex, n: int) -> float:
-    """2 (3+sqrt 8)^(-n) Gamma(alpha)/|Gamma(s)|: the total-variation error model."""
-    return 2.0 * math.exp(min(700.0, _log_total_variation(s) - n * _LN_DELTA))
+def _stages(log_tv: float, tol: float) -> int:
+    """Smallest multiple of 32 (at least 32) whose modelled truncation error,
+    for a measure of log size log_tv, clears tol."""
+    n = int(math.ceil((log_tv + math.log(2.0 / tol)) / _LN_DELTA)) + 4
+    return ((max(n, 8) + 31) // 32) * 32
 
 
 def accel_stages_for(s: PointLike, tol: float) -> int:
@@ -339,10 +352,24 @@ def accel_stages_for(s: PointLike, tol: float) -> int:
     _require_alpha_positive(p)
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
-    log_tv = _log_total_variation(p.to_complex())
-    n = int(math.ceil((log_tv + math.log(2.0 / tol)) / _LN_DELTA)) + 4
-    n = ((max(n, 8) + 31) // 32) * 32
-    return n
+    return _stages(_log_total_variation(p.to_complex()), tol)
+
+
+def _chebyshev_rows(pows: np.ndarray, betas, n: int, log_tvs) -> list[tuple[complex, float]]:
+    """(value, estimate) of the Chebyshev-weighted sum of n terms per row, where
+    row r of `pows` is n^(-s_r) for n = 1..n and log_tvs[r] is
+    ln(Gamma(alpha)/|Gamma(s_r)|).  The estimate is the truncation model
+    2 (3+sqrt 8)^(-n) Gamma(alpha)/|Gamma(s)| plus the roundoff floor."""
+    weights = _crvz_weights(n)
+    lnn = _log_range(n)
+    values = (weights * pows).sum(axis=1)
+    wabs = np.abs(weights) * np.abs(pows)
+    out = []
+    for value, abs_sum, row, beta, log_tv in zip(values.tolist(), wabs.sum(axis=1).tolist(),
+                                                 wabs, betas, log_tvs):
+        floor = EPS * (2.0 * abs_sum + abs(beta) * float(np.dot(row, lnn)))
+        out.append((value, 2.0 * math.exp(min(700.0, log_tv - n * _LN_DELTA)) + floor))
+    return out
 
 
 def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
@@ -355,13 +382,7 @@ def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
     if n > MAX_ACCEL_STAGES:
         raise NonConvergenceError(f"n_stages {n} exceeds cap {MAX_ACCEL_STAGES}")
     sc = p.to_complex()
-    weights = _crvz_weights(n)
-    lnn = _log_range(n)
-    a = np.exp(-sc * lnn)
-    value = complex(np.sum(weights * a))
-    wabs = np.abs(weights) * np.abs(a)
-    floor = EPS * (2.0 * float(np.sum(wabs)) + abs(p.beta) * float(np.dot(wabs, lnn)))
-    est = _chebyshev_truncation(sc, n) + floor
+    value, est = _chebyshev_rows(_powers([sc], n), [p.beta], n, [_log_total_variation(sc)])[0]
     return EvalResult(value, est, "accel", n)
 
 
@@ -407,50 +428,160 @@ def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult:
     return EvalResult(complex(0.5 * (lo + hi)), est, "partial", n)
 
 
+def _domain_error(alpha, tol: float, engine: str) -> DomainError | None:
+    if not (alpha > 0.0):
+        return DomainError(f"series evaluation requires Re(s) > 0, got alpha={alpha}")
+    if not (tol > 0.0):
+        return DomainError("tol must be > 0")
+    if engine not in ENGINES:
+        return DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return None
+
+
+def _powers(s: list[complex], columns: int) -> np.ndarray:
+    """Row r is n^(-s_r) = exp(-s_r ln n) for n = 1..columns."""
+    return np.exp(np.multiply.outer(-np.array(s, dtype=np.complex128), _log_range(columns)))
+
+
+def _groups(rows, key) -> list:
+    """(key, [row, ...]) per distinct key(row), in order of first appearance."""
+    groups: dict = {}
+    for k in rows:
+        groups.setdefault(key(k), []).append(k)
+    return list(groups.items())
+
+
+def _sub_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
+    """Consecutive (start, stop, width) runs whose width x rows stays within
+    BLOCK_ELEMENTS, width being the largest of the run's widths; one row
+    always fits."""
+    runs = []
+    r0 = 0
+    while r0 < len(widths):
+        r1, width = r0 + 1, widths[r0]
+        while r1 < len(widths) and (r1 - r0 + 1) * max(width, widths[r1]) <= BLOCK_ELEMENTS:
+            width = max(width, widths[r1])
+            r1 += 1
+        runs.append((r0, r1, width))
+        r0 = r1
+    return runs
+
+
+def _checked(z: complex, euler: tuple, accel: tuple, tol: float) -> EvalResult | EtaFloorError:
+    """The cross-checked result at z from the (value, estimate, terms) of the
+    Euler and the Chebyshev engine: the one with the smaller estimate."""
+    gap = abs(euler[0] - accel[0])
+    budget = euler[1] + accel[1] + 4.0 * EPS
+    if gap > budget:
+        return CrossCheckError(
+            f"engines disagree at s={z:g}: gap {gap:g} exceeds combined estimate {budget:g}",
+            gap=gap,
+            budget=budget,
+        )
+    value, est, _, method = (*euler, "euler") if euler[1] <= accel[1] else (*accel, "accel")
+    if est > tol:
+        return NonConvergenceError(f"checked evaluation cannot certify tol={tol:g} at s={z:g}")
+    return EvalResult(value, est, method, euler[2] + accel[2])
+
+
+def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
+    """eta_line on at most BLOCK_POINTS points of one engine, "euler", "accel"
+    or "checked".
+
+    Each sub-block builds one exp(-s ln n) matrix, shared by both engines.
+    Rows are grouped by their own Euler (head, m) and Chebyshev n, and each
+    group is reduced row by row on exactly its own columns, so every value
+    has the bits of a one-point call.  A point whose first Euler attempt
+    misses tol climbs the retry ladder on its own.
+    """
+    zs = [complex(alpha, beta) for beta in betas]
+    imags = [z.imag for z in zs]
+    out: list = [None] * len(zs)
+    widths = [0] * len(zs)
+    if engine != "accel":
+        heads = [max(32, int(math.ceil(abs(beta)))) for beta in betas]
+        ms = _euler_tail_lengths(zs, heads, tol)
+        widths = [head + m for head, m in zip(heads, ms)]
+        euler: list = [None] * len(zs)
+    if engine != "euler":
+        log_tvs = [_log_total_variation(z) for z in zs]
+        stages = [_stages(log_tv, tol) for log_tv in log_tvs]
+        widths = [max(w, n) if n <= MAX_ACCEL_STAGES else w for w, n in zip(widths, stages)]
+
+    for r0, r1, width in _sub_blocks(widths):
+        pows = _powers(zs[r0:r1], width)
+        rows = range(r0, r1)
+        if engine != "accel":
+            for (head, m), group in _groups(rows, lambda k: (heads[k], ms[k])):
+                firsts = _euler_rows(pows[[k - r0 for k in group], : head + m],
+                                     [imags[k] for k in group], head, m)
+                for k, (value, est) in zip(group, firsts):
+                    euler[k] = ((value, est, head + m) if est <= tol
+                                else _euler_ladder(zs[k], head, m, tol, est))
+                    if isinstance(euler[k], EtaFloorError):
+                        out[k] = euler[k]
+                    elif engine == "euler":
+                        out[k] = EvalResult(euler[k][0], euler[k][1], "euler", euler[k][2])
+            if engine == "euler":
+                continue
+            rows = [k for k in rows if out[k] is None]
+        for k in rows:
+            if stages[k] > MAX_ACCEL_STAGES:
+                out[k] = NonConvergenceError(f"n_stages {stages[k]} exceeds cap {MAX_ACCEL_STAGES}")
+        for n, group in _groups([k for k in rows if out[k] is None], stages.__getitem__):
+            results = _chebyshev_rows(pows[[k - r0 for k in group], :n], [imags[k] for k in group],
+                                      n, [log_tvs[k] for k in group])
+            for k, (value, est) in zip(group, results):
+                if engine == "checked":
+                    out[k] = _checked(zs[k], euler[k], (value, est, n), tol)
+                elif est > tol:
+                    out[k] = NonConvergenceError(
+                        f"accel engine cannot certify tol={tol:g} at s={zs[k]:g} "
+                        f"(estimate {est:g})")
+                else:
+                    out[k] = EvalResult(value, est, "accel", n)
+    return out
+
+
+def eta_line(alpha: float, betas, tol: float, engine: str = "checked") -> list:
+    """eta(alpha + i beta) for each beta, in order: the EvalResult eta_eval
+    returns there, or the EtaFloorError it raises.
+
+    Euler and Chebyshev points run in blocks of at most BLOCK_POINTS points with
+    the bits of one-point calls; "partial" runs point by point.
+    """
+    betas = list(betas)
+    error = _domain_error(alpha, tol, engine)
+    if error is not None:
+        return [error] * len(betas)
+    if engine == "partial":
+        out = []
+        for beta in betas:
+            try:
+                out.append(_eta_partial_certified(ComplexPoint(alpha, beta), tol))
+            except EtaFloorError as exc:
+                out.append(exc.with_traceback(None))
+        return out
+    return [result for start in range(0, len(betas), BLOCK_POINTS)
+            for result in _eval_block(alpha, betas[start : start + BLOCK_POINTS], tol, engine)]
+
+
+def _eval_one(s: PointLike, tol: float, engine: str) -> EvalResult:
+    p = as_point(s)
+    result = eta_line(p.alpha, (p.beta,), tol, engine)[0]
+    if isinstance(result, EtaFloorError):
+        raise result
+    return result
+
+
 def eta_eval(s: PointLike, tol: float, engine: str = "checked") -> EvalResult:
-    """Evaluate eta(s) with the configured engine.
+    """Evaluate eta(s) with the configured engine: eta_line at one point.
 
     "checked" runs the Euler and Chebyshev engines and fails with
     CrossCheckError if they disagree beyond the combined error estimates;
     the result with the smaller estimate is returned.
     """
-    p = as_point(s)
-    _require_alpha_positive(p)
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
-    if engine == "euler":
-        return eta_euler(p, tol)
-    if engine == "accel":
-        res = eta_accel(p, accel_stages_for(p, tol))
-        if res.abs_error_estimate > tol:
-            raise NonConvergenceError(
-                f"accel engine cannot certify tol={tol:g} at s={p.to_complex():g} "
-                f"(estimate {res.abs_error_estimate:g})"
-            )
-        return res
-    if engine == "partial":
-        return _eta_partial_certified(p, tol)
-    if engine != "checked":
-        raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-    r1 = eta_euler(p, tol)
-    r2 = eta_accel(p, accel_stages_for(p, tol))
-    gap = abs(r1.value - r2.value)
-    budget = r1.abs_error_estimate + r2.abs_error_estimate + 4.0 * EPS
-    if gap > budget:
-        raise CrossCheckError(
-            f"engines disagree at s={p.to_complex():g}: gap {gap:g} exceeds "
-            f"combined estimate {budget:g}",
-            gap=gap,
-            budget=budget,
-        )
-    best, other = (r1, r2) if r1.abs_error_estimate <= r2.abs_error_estimate else (r2, r1)
-    if best.abs_error_estimate > tol:
-        raise NonConvergenceError(
-            f"checked evaluation cannot certify tol={tol:g} at s={p.to_complex():g}"
-        )
-    return EvalResult(best.value, best.abs_error_estimate, best.method,
-                      best.terms_used + other.terms_used)
+    return _eval_one(s, tol, engine)
 
 
 def eta_conjugate(s: PointLike, tol: float, engine: str = "checked") -> complex:

@@ -29,7 +29,16 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
-from .eta import ComplexPoint, as_point, eta_accel, eta_eval, eta_euler, accel_stages_for
+from .eta import (
+    ComplexPoint,
+    EvalResult,
+    accel_stages_for,
+    as_point,
+    eta_accel,
+    eta_eval,
+    eta_euler,
+    eta_line,
+)
 from .exceptions import (
     CrossCheckError,
     DegenerateGeometryError,
@@ -66,6 +75,7 @@ ZERO_GRID_STEP = 0.01
 GOLDEN_MAX_ITER = 200
 ZERO_GEOMETRY_TOL = 1e-10
 ZERO_ENGINE_GAP_LIMIT = 1e-9
+GRID_BLOCK = 128  # grid points a worker evaluates and turns into rows at a time
 
 
 @dataclass(frozen=True)
@@ -149,7 +159,11 @@ def tail_inequality_check(s, tol: float, engine: str = "checked") -> BoundSample
     |T| >= sqrt(2)/2^alpha.  The outcome is recorded, never asserted.
     """
     p = as_point(s)
-    res = eta_eval(p, tol, engine)
+    return _bound_sample(p, eta_eval(p, tol, engine))
+
+
+def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
+    """The sample tail_inequality_check records at p from eta(p) = res."""
     dec = decompose_from_eta(p, res.value)
     eta_abs = abs(res.value)
     floor_value = bound_floor(p.alpha)
@@ -170,6 +184,10 @@ def tail_inequality_check(s, tol: float, engine: str = "checked") -> BoundSample
         leading=dec.leading,
         tail_inequality_holds=holds,
     )
+
+
+def _eta_abs(p: ComplexPoint, res: EvalResult) -> float:
+    return abs(res.value)
 
 
 # ----------------------------------------------------------------------------
@@ -200,30 +218,34 @@ def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _grid_chunk(args: tuple) -> list:
-    """f(ComplexPoint(alpha, lo + i*step), *f_args) for i in i0..i1-1; the
-    EtaFloorError stands where a point failed, so it crosses a process pool as a value."""
-    f, alpha, lo, step, i0, i1, f_args = args
+    """row(p, eta(p)) at p = alpha + i(lo + k*step) for k in k0..k1-1, with eta_line
+    fed GRID_BLOCK points at a time; the EtaFloorError stands where a point
+    failed, so it crosses a process pool as a value.  `row` must be a
+    module-level function."""
+    row, alpha, lo, step, k0, k1, tol, engine = args
     out = []
-    for i in range(i0, i1):
-        try:
-            out.append(f(ComplexPoint(alpha, lo + i * step), *f_args))
-        except EtaFloorError as exc:
-            out.append(exc.with_traceback(None))  # a kept traceback holds its frames' locals
+    for b0 in range(k0, k1, GRID_BLOCK):
+        points = [ComplexPoint(alpha, lo + k * step) for k in range(b0, min(b0 + GRID_BLOCK, k1))]
+        for p, res in zip(points, eta_line(alpha, [p.beta for p in points], tol, engine)):
+            out.append(res if isinstance(res, EtaFloorError) else row(p, res))
     return out
 
 
-def _sample_grid(f: Callable, alpha: float, lo: float, step: float, count: int,
-                 workers: int, *f_args) -> list:
-    """_grid_chunk over grid indices 0..count-1, in contiguous chunks, one per
-    worker process, merged in index order.  `f` must be a module-level function."""
+def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float, count: int,
+                  workers: int, tol: float, engine: str) -> list[list]:
+    """_grid_chunk over grid indices 0..count-1 of each line alpha, in contiguous
+    chunks, one per worker; every chunk of every line goes through one process
+    pool, and each line's rows come back merged in index order."""
     workers = _resolve_workers(workers)
-    arg_sets = [(f, alpha, lo, step, i0, i1, f_args) for i0, i1 in _index_chunks(count, workers)]
-    if len(arg_sets) <= 1:
-        chunks = map(_grid_chunk, arg_sets)
+    chunks = _index_chunks(count, workers)
+    arg_sets = [(row, alpha, lo, step, k0, k1, tol, engine) for alpha in alphas for k0, k1 in chunks]
+    if len(chunks) <= 1:
+        results = list(map(_grid_chunk, arg_sets))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_grid_chunk, arg_sets))
-    return [value for chunk in chunks for value in chunk]
+            results = list(pool.map(_grid_chunk, arg_sets))
+    return [[value for chunk in results[j : j + len(chunks)] for value in chunk]
+            for j in range(0, len(results), len(chunks))]
 
 
 def _abs_eta(s: ComplexPoint, tol: float, engine: str) -> float:
@@ -308,22 +330,7 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
     return int(math.floor((hi - lo) / step + 1e-9)) + 1
 
 
-def scan_line(
-    alpha: float,
-    beta_min: float,
-    beta_max: float,
-    step: float,
-    tol: float = DEFAULT_SCAN_TOL,
-    *,
-    workers: int = 1,
-    engine: str = "checked",
-) -> LineScanReport:
-    """Sample |eta(alpha + i beta)| on a beta grid and refine every local minimum.
-
-    Violations are the samples with margin < -tol.  Output is independent of
-    the worker count: chunks are merged in index order and refinement runs on
-    the merged grid.
-    """
+def _check_line(alpha: float, beta_min: float, beta_max: float, step: float, tol: float) -> None:
     if not (alpha > 0.0):
         raise DomainError("alpha must be > 0")
     if beta_max < beta_min:
@@ -332,11 +339,13 @@ def scan_line(
         raise DomainError("step must be > 0")
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
-    count = _grid_count(beta_min, beta_max, step)
-    eval_tol = min(tol, DEFAULT_SCAN_TOL)
 
-    rows = _sample_grid(tail_inequality_check, alpha, beta_min, step, count, workers,
-                        eval_tol, engine)
+
+def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, tol: float,
+                 engine: str, rows: list) -> LineScanReport:
+    """The report of one line from its grid rows (a BoundSample or the
+    EtaFloorError of each grid point): failures, refined basins, violations."""
+    eval_tol = min(tol, DEFAULT_SCAN_TOL)
     samples = [row for row in rows if isinstance(row, BoundSample)]
     failures = [ScanFailure(ComplexPoint(alpha, beta_min + i * step), type(row).__name__, str(row))
                 for i, row in enumerate(rows) if isinstance(row, EtaFloorError)]
@@ -379,6 +388,29 @@ def scan_line(
     )
 
 
+def scan_line(
+    alpha: float,
+    beta_min: float,
+    beta_max: float,
+    step: float,
+    tol: float = DEFAULT_SCAN_TOL,
+    *,
+    workers: int = 1,
+    engine: str = "checked",
+) -> LineScanReport:
+    """Sample |eta(alpha + i beta)| on a beta grid and refine every local minimum.
+
+    Violations are the samples with margin < -tol.  Output is independent of
+    the worker count: chunks are merged in index order and refinement runs on
+    the merged grid.
+    """
+    _check_line(alpha, beta_min, beta_max, step, tol)
+    count = _grid_count(beta_min, beta_max, step)
+    rows, = _sample_lines(_bound_sample, (alpha,), beta_min, step, count, workers,
+                          min(tol, DEFAULT_SCAN_TOL), engine)
+    return _line_report(alpha, beta_min, beta_max, step, tol, engine, rows)
+
+
 def scan_grid(
     alpha_range: tuple[float, float],
     beta_range: tuple[float, float],
@@ -389,7 +421,8 @@ def scan_grid(
     workers: int = 1,
     engine: str = "checked",
 ) -> GridReport:
-    """scan_line over an alpha grid, with global extremes."""
+    """scan_line over an alpha grid, with global extremes; the grid points of
+    every line are sampled through one process pool."""
     a_lo, a_hi = alpha_range
     if not (a_lo > 0.0):
         raise DomainError("alpha range must lie in (0, inf)")
@@ -397,18 +430,15 @@ def scan_grid(
         raise DomainError("alpha range is empty (hi < lo)")
     if not (alpha_step > 0.0):
         raise DomainError("alpha_step must be > 0")
-    n_alpha = _grid_count(a_lo, a_hi, alpha_step)
+    beta_min, beta_max = beta_range
+    _check_line(a_lo, beta_min, beta_max, beta_step, tol)
+    alphas = [a_lo + j * alpha_step for j in range(_grid_count(a_lo, a_hi, alpha_step))]
+    count = _grid_count(beta_min, beta_max, beta_step)
+    lines = _sample_lines(_bound_sample, alphas, beta_min, beta_step, count, workers,
+                          min(tol, DEFAULT_SCAN_TOL), engine)
     return GridReport.from_lines(
-        scan_line(
-            a_lo + j * alpha_step,
-            beta_range[0],
-            beta_range[1],
-            beta_step,
-            tol,
-            workers=workers,
-            engine=engine,
-        )
-        for j in range(n_alpha)
+        _line_report(alpha, beta_min, beta_max, beta_step, tol, engine, rows)
+        for alpha, rows in zip(alphas, lines)
     )
 
 
@@ -439,7 +469,7 @@ def _zero_candidates(
         raise DomainError("tol must be > 0")
     eval_tol = max(tol / 100.0, 1e-12)
     count = _grid_count(t_lo, t_hi, grid_step)
-    values = _sample_grid(_abs_eta, 0.5, t_lo, grid_step, count, workers, eval_tol, engine)
+    values, = _sample_lines(_eta_abs, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
     for value in values:
         if isinstance(value, EtaFloorError):
             raise value

@@ -224,14 +224,12 @@ class TestScanCommand:
     def test_forced_engine_disagreement_exit_three(self, tmp_path, capsys, monkeypatch):
         import etafloor.eta as eta_mod
 
-        real_accel = eta_mod.eta_accel
+        real_rows = eta_mod._chebyshev_rows
 
-        def corrupted(s, n_stages):
-            res = real_accel(s, n_stages)
-            return type(res)(res.value + 1e-3, res.abs_error_estimate,
-                             res.method, res.terms_used)
+        def corrupted(*args):
+            return [(value + 1e-3, est) for value, est in real_rows(*args)]
 
-        monkeypatch.setattr(eta_mod, "eta_accel", corrupted)
+        monkeypatch.setattr(eta_mod, "_chebyshev_rows", corrupted)
         code = main(
             ["scan", "--alpha", "0.9", "--beta", "1:1.2", "--step", "0.1",
              "--output", str(tmp_path / "bad.json"), "--format", "json"]

@@ -233,14 +233,12 @@ class TestEtaEval:
     def test_cross_check_detects_corruption(self, monkeypatch):
         import etafloor.eta as eta_mod
 
-        real_accel = eta_mod.eta_accel
+        real_rows = eta_mod._chebyshev_rows
 
-        def corrupted(s, n_stages):
-            res = real_accel(s, n_stages)
-            return type(res)(res.value + 1e-3, res.abs_error_estimate,
-                             res.method, res.terms_used)
+        def corrupted(*args):
+            return [(value + 1e-3, est) for value, est in real_rows(*args)]
 
-        monkeypatch.setattr(eta_mod, "eta_accel", corrupted)
+        monkeypatch.setattr(eta_mod, "_chebyshev_rows", corrupted)
         with pytest.raises(CrossCheckError):
             eta_mod.eta_eval(1.0, 1e-12)
 

@@ -156,14 +156,13 @@ class TestScanLine:
 
         clean = scan_line(0.75, 160.0, 166.0, 0.01)
         bad_beta = 160.0 + 50 * 0.01
-        real_check = scanner_mod.tail_inequality_check
+        real_line = scanner_mod.eta_line
 
-        def failing(s, tol, engine="checked"):
-            if s.beta == bad_beta:
-                raise CrossCheckError("injected", gap=1.0, budget=0.0)
-            return real_check(s, tol, engine)
+        def failing(alpha, betas, tol, engine="checked"):
+            return [CrossCheckError("injected", gap=1.0, budget=0.0) if beta == bad_beta else res
+                    for beta, res in zip(betas, real_line(alpha, betas, tol, engine))]
 
-        monkeypatch.setattr(scanner_mod, "tail_inequality_check", failing)
+        monkeypatch.setattr(scanner_mod, "eta_line", failing)
         report = scan_line(0.75, 160.0, 166.0, 0.01)
         assert [f.s.beta for f in report.failures] == [bad_beta]
         # the clean line has refined basin rows besides its 601 grid rows
