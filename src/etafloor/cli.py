@@ -94,7 +94,8 @@ def parse_range(text: str, name: str) -> tuple[float, float]:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # -1+0i, -1:1 are values
+        # -1+0i, -1:1, -i, -inf and -nan are values, not options
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(?:i|inf|nan)$", re.IGNORECASE)
 
     def error(self, message):  # route argparse failures to exit code 64
         raise UsageError(message)

@@ -386,18 +386,19 @@ def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
     return EvalResult(value, est, "accel", n)
 
 
-def crvz_reference_sum(terms: np.ndarray) -> float:
-    """Chebyshev-weighted value of sum_k (-1)^k terms[k].
+def crvz_reference_sum(terms: np.ndarray) -> float | np.ndarray:
+    """Chebyshev-weighted value of sum_k (-1)^k terms[..., k], per row of a 2-D array.
 
     Rigorous to ~2(3+sqrt 8)^(-len(terms)) x total variation when the terms are
     moments of a positive measure on [0,1] (every completely monotone sequence);
     used as a reference limit for alternating series with no closed form.
     """
-    terms = np.asarray(terms, dtype=np.float64)
-    n = terms.size
+    terms = np.atleast_1d(np.asarray(terms, dtype=np.float64))
+    n = terms.shape[-1]
     if n < 1:
         raise DomainError("need at least one term")
-    return float(np.sum(_crvz_weights(n) * terms))
+    sums = np.sum(_crvz_weights(n) * terms, axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 # ----------------------------------------------------------------------------

@@ -158,6 +158,17 @@ class TestUsageErrors:
          "usage error: pca point mode takes no --beta or --step"),
         (["pca", "--s", "1+0i", "--step", "-5"], 64,
          "usage error: pca point mode takes no --beta or --step"),
+        # -i, -inf and -nan (any case) are values too
+        (["eval", "--s", "-i"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=0.0"),
+        (["eval", "--s", "-I"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=0.0"),
+        (["eval", "--s", "-inf"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-inf"),
+        (["eval", "--s", "-NaN"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=nan"),
+        (["eval", "--s", "1+0i", "--tol", "-Inf"], 64, "usage error: --tol must be > 0"),
+        (["eval", "--s", "-inform"], 64, "usage error: argument --s: expected one argument"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
