@@ -19,6 +19,7 @@ from etafloor.eta import (
     eta_conjugate,
     eta_euler,
     eta_eval,
+    eta_line,
     eta_partial_sum,
     factor_zero,
     partial_sum_bracket,
@@ -267,6 +268,53 @@ class TestPinnedOutcomes:
             got = [res.value.real.hex(), res.value.imag.hex(), res.abs_error_estimate.hex(),
                    res.method, str(res.terms_used)]
             assert got == expected, s
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return (type(exc).__name__, str(exc))
+
+
+class TestEtaLine:
+    """eta_line over a block equals one-point calls, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("engine", ["euler", "accel", "checked"])
+    @pytest.mark.parametrize("alpha, betas", [
+        # rows of many Euler (head, m) and Chebyshev n groups and sub-block widths
+        (0.75, [-40.0 + 2.37 * k for k in range(128)]),
+        # Euler's retry ladder and its failures next to certified points
+        (0.05, [880.0 + 0.5 * k for k in range(64)]),
+        # the Chebyshev stage cap
+        (0.75, [4570.0 + 1.5 * k for k in range(24)]),
+    ])
+    def test_block_equals_one_point_calls(self, alpha, betas, engine, tol):
+        line = [res if not isinstance(res, Exception) else (type(res).__name__, str(res))
+                for res in eta_line(alpha, betas, tol, engine)]
+        single = [_outcome(lambda: eta_eval(ComplexPoint(alpha, beta), tol, engine))
+                  for beta in betas]
+        assert line == single
+
+    def test_more_points_than_one_block(self):
+        betas = [0.013 * k for k in range(300)]
+        assert eta_line(0.6, betas, 1e-9) == [eta_eval(ComplexPoint(0.6, b), 1e-9) for b in betas]
+
+    def test_partial_engine_point_by_point(self):
+        line = eta_line(2.0, [0.0, 1.0], 1e-6, "partial")
+        assert line[0] == eta_eval(2.0, 1e-6, "partial")
+        assert isinstance(line[1], NonConvergenceError)
+
+    @pytest.mark.parametrize("alpha, tol, engine", [(0.0, 1e-9, "checked"),
+                                                     (0.5, 0.0, "checked"),
+                                                     (0.5, 1e-9, "bogus")])
+    def test_domain_error_at_every_point(self, alpha, tol, engine):
+        line = eta_line(alpha, [1.0, 2.0], tol, engine)
+        assert [type(res) for res in line] == [DomainError, DomainError]
+        with pytest.raises(DomainError) as info:
+            eta_eval(ComplexPoint(alpha, 1.0), tol, engine)
+        assert str(info.value) == str(line[0]) == str(line[1])
 
 
 class TestConjugate:
