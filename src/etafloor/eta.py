@@ -224,15 +224,13 @@ def _euler_tail_lengths(s: list[complex], heads: list[int], tol: float) -> list[
     first tail term; target tol*1e-4 so the heuristic estimate clears tol.
     """
     # 2(head+1+j) is an exact integer, so it may be formed in any order
-    ratio = np.add.outer(np.array([abs(z) for z in s]), _JS)
-    ratio /= np.add.outer(2.0 * np.array(heads, dtype=np.float64) + 2.0, 2.0 * _JS)
+    ratio = np.add.outer([abs(z) for z in s], _JS)
+    ratio /= np.add.outer([2.0 * head + 2.0 for head in heads], 2.0 * _JS)
     cum = np.log(ratio, out=ratio).cumsum(axis=1)
     cum += np.array([-z.real * math.log(head + 1.0) for z, head in zip(s, heads)])[:, None]
     hit = cum <= math.log(max(tol, 1e-300)) + math.log(1e-4)
-    first = hit.argmax(axis=1)
-    found = hit[np.arange(len(s)), first].tolist()
-    return [max(16, min(96, ((k + 8) // 8) * 8)) if ok else 96
-            for k, ok in zip(first.tolist(), found)]
+    return [max(16, min(96, ((k + 8) // 8) * 8)) if found else 96
+            for k, found in zip(hit.argmax(axis=1).tolist(), hit.any(axis=1).tolist())]
 
 
 def _euler_rows(pows: np.ndarray, betas, head: int, m: int) -> list[tuple[complex, float]]:
@@ -274,7 +272,7 @@ def _euler_ladder(z: complex, head: int, m: int, tol: float,
 
 def eta_euler(s: PointLike, tol: float) -> EvalResult:
     """eta(s) via a direct head plus the Euler transformation of the tail."""
-    return _eval_one(s, tol, "euler")
+    return eta_eval(s, tol, "euler")
 
 
 # ----------------------------------------------------------------------------
@@ -452,6 +450,16 @@ def _groups(rows, key) -> list:
     return list(groups.items())
 
 
+def _rows(pows: np.ndarray, group: list[int], r0: int, columns: int) -> np.ndarray:
+    """The first `columns` columns of the rows `group` (ascending block indices)
+    of the sub-block matrix that starts at block row r0; a view when the
+    rows are consecutive."""
+    first, last = group[0] - r0, group[-1] - r0
+    if last - first + 1 == len(group):
+        return pows[first : last + 1, :columns]
+    return pows[[k - r0 for k in group], :columns]
+
+
 def _sub_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
     """Consecutive (start, stop, width) runs whose width x rows stays within
     BLOCK_ELEMENTS, width being the largest of the run's widths; one row
@@ -514,7 +522,7 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
         rows = range(r0, r1)
         if engine != "accel":
             for (head, m), group in _groups(rows, lambda k: (heads[k], ms[k])):
-                firsts = _euler_rows(pows[[k - r0 for k in group], : head + m],
+                firsts = _euler_rows(_rows(pows, group, r0, head + m),
                                      [imags[k] for k in group], head, m)
                 for k, (value, est) in zip(group, firsts):
                     euler[k] = ((value, est, head + m) if est <= tol
@@ -530,7 +538,7 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
             if stages[k] > MAX_ACCEL_STAGES:
                 out[k] = NonConvergenceError(f"n_stages {stages[k]} exceeds cap {MAX_ACCEL_STAGES}")
         for n, group in _groups([k for k in rows if out[k] is None], stages.__getitem__):
-            results = _chebyshev_rows(pows[[k - r0 for k in group], :n], [imags[k] for k in group],
+            results = _chebyshev_rows(_rows(pows, group, r0, n), [imags[k] for k in group],
                                       n, [log_tvs[k] for k in group])
             for k, (value, est) in zip(group, results):
                 if engine == "checked":
@@ -567,14 +575,6 @@ def eta_line(alpha: float, betas, tol: float, engine: str = "checked") -> list:
             for result in _eval_block(alpha, betas[start : start + BLOCK_POINTS], tol, engine)]
 
 
-def _eval_one(s: PointLike, tol: float, engine: str) -> EvalResult:
-    p = as_point(s)
-    result = eta_line(p.alpha, (p.beta,), tol, engine)[0]
-    if isinstance(result, EtaFloorError):
-        raise result
-    return result
-
-
 def eta_eval(s: PointLike, tol: float, engine: str = "checked") -> EvalResult:
     """Evaluate eta(s) with the configured engine: eta_line at one point.
 
@@ -582,7 +582,11 @@ def eta_eval(s: PointLike, tol: float, engine: str = "checked") -> EvalResult:
     CrossCheckError if they disagree beyond the combined error estimates;
     the result with the smaller estimate is returned.
     """
-    return _eval_one(s, tol, engine)
+    p = as_point(s)
+    result = eta_line(p.alpha, (p.beta,), tol, engine)[0]
+    if isinstance(result, EtaFloorError):
+        raise result
+    return result
 
 
 def eta_conjugate(s: PointLike, tol: float, engine: str = "checked") -> complex:

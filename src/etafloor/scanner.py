@@ -186,7 +186,7 @@ def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
     )
 
 
-def _eta_abs(p: ComplexPoint, res: EvalResult) -> float:
+def _abs_value(p: ComplexPoint, res: EvalResult) -> float:
     return abs(res.value)
 
 
@@ -330,8 +330,11 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
     return int(math.floor((hi - lo) / step + 1e-9)) + 1
 
 
-def _check_line(alpha: float, beta_min: float, beta_max: float, step: float, tol: float) -> None:
-    if not (alpha > 0.0):
+def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step: float,
+                tol: float, workers: int, engine: str) -> list[LineScanReport]:
+    """The report of each line alpha; the grid points of every line are
+    sampled through one process pool, then each line is refined in turn."""
+    if not (alphas[0] > 0.0):
         raise DomainError("alpha must be > 0")
     if beta_max < beta_min:
         raise DomainError("beta range is empty (beta_max < beta_min)")
@@ -339,13 +342,17 @@ def _check_line(alpha: float, beta_min: float, beta_max: float, step: float, tol
         raise DomainError("step must be > 0")
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
+    eval_tol = min(tol, DEFAULT_SCAN_TOL)
+    lines = _sample_lines(_bound_sample, alphas, beta_min, step,
+                          _grid_count(beta_min, beta_max, step), workers, eval_tol, engine)
+    return [_line_report(alpha, beta_min, beta_max, step, tol, eval_tol, engine, rows)
+            for alpha, rows in zip(alphas, lines)]
 
 
 def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, tol: float,
-                 engine: str, rows: list) -> LineScanReport:
+                 eval_tol: float, engine: str, rows: list) -> LineScanReport:
     """The report of one line from its grid rows (a BoundSample or the
     EtaFloorError of each grid point): failures, refined basins, violations."""
-    eval_tol = min(tol, DEFAULT_SCAN_TOL)
     samples = [row for row in rows if isinstance(row, BoundSample)]
     failures = [ScanFailure(ComplexPoint(alpha, beta_min + i * step), type(row).__name__, str(row))
                 for i, row in enumerate(rows) if isinstance(row, EtaFloorError)]
@@ -404,11 +411,7 @@ def scan_line(
     the worker count: chunks are merged in index order and refinement runs on
     the merged grid.
     """
-    _check_line(alpha, beta_min, beta_max, step, tol)
-    count = _grid_count(beta_min, beta_max, step)
-    rows, = _sample_lines(_bound_sample, (alpha,), beta_min, step, count, workers,
-                          min(tol, DEFAULT_SCAN_TOL), engine)
-    return _line_report(alpha, beta_min, beta_max, step, tol, engine, rows)
+    return _scan_lines([alpha], beta_min, beta_max, step, tol, workers, engine)[0]
 
 
 def scan_grid(
@@ -422,7 +425,7 @@ def scan_grid(
     engine: str = "checked",
 ) -> GridReport:
     """scan_line over an alpha grid, with global extremes; the grid points of
-    every line are sampled through one process pool."""
+    every line go through one process pool."""
     a_lo, a_hi = alpha_range
     if not (a_lo > 0.0):
         raise DomainError("alpha range must lie in (0, inf)")
@@ -430,16 +433,9 @@ def scan_grid(
         raise DomainError("alpha range is empty (hi < lo)")
     if not (alpha_step > 0.0):
         raise DomainError("alpha_step must be > 0")
-    beta_min, beta_max = beta_range
-    _check_line(a_lo, beta_min, beta_max, beta_step, tol)
     alphas = [a_lo + j * alpha_step for j in range(_grid_count(a_lo, a_hi, alpha_step))]
-    count = _grid_count(beta_min, beta_max, beta_step)
-    lines = _sample_lines(_bound_sample, alphas, beta_min, beta_step, count, workers,
-                          min(tol, DEFAULT_SCAN_TOL), engine)
     return GridReport.from_lines(
-        _line_report(alpha, beta_min, beta_max, beta_step, tol, engine, rows)
-        for alpha, rows in zip(alphas, lines)
-    )
+        _scan_lines(alphas, beta_range[0], beta_range[1], beta_step, tol, workers, engine))
 
 
 # ----------------------------------------------------------------------------
@@ -469,7 +465,7 @@ def _zero_candidates(
         raise DomainError("tol must be > 0")
     eval_tol = max(tol / 100.0, 1e-12)
     count = _grid_count(t_lo, t_hi, grid_step)
-    values, = _sample_lines(_eta_abs, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
+    values, = _sample_lines(_abs_value, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
     for value in values:
         if isinstance(value, EtaFloorError):
             raise value
