@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 from .eta import (
+    BLOCK_POINTS,
     ComplexPoint,
     EvalResult,
     accel_stages_for,
@@ -75,7 +76,6 @@ ZERO_GRID_STEP = 0.01
 GOLDEN_MAX_ITER = 200
 ZERO_GEOMETRY_TOL = 1e-10
 ZERO_ENGINE_GAP_LIMIT = 1e-9
-GRID_BLOCK = 128  # grid points a worker evaluates and turns into rows at a time
 
 
 @dataclass(frozen=True)
@@ -218,14 +218,14 @@ def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _grid_chunk(args: tuple) -> list:
-    """row(p, eta(p)) at p = alpha + i(lo + k*step) for k in k0..k1-1, with eta_line
-    fed GRID_BLOCK points at a time; the EtaFloorError stands where a point
-    failed, so it crosses a process pool as a value.  `row` must be a
-    module-level function."""
+    """row(p, eta(p)) at p = alpha + i(lo + k*step) for k in k0..k1-1, one
+    eta_line block at a time, so only one block's results are held at once;
+    the EtaFloorError stands where a point failed, so it crosses a process
+    pool as a value.  `row` must be a module-level function."""
     row, alpha, lo, step, k0, k1, tol, engine = args
     out = []
-    for b0 in range(k0, k1, GRID_BLOCK):
-        points = [ComplexPoint(alpha, lo + k * step) for k in range(b0, min(b0 + GRID_BLOCK, k1))]
+    for b0 in range(k0, k1, BLOCK_POINTS):
+        points = [ComplexPoint(alpha, lo + k * step) for k in range(b0, min(b0 + BLOCK_POINTS, k1))]
         for p, res in zip(points, eta_line(alpha, [p.beta for p in points], tol, engine)):
             out.append(res if isinstance(res, EtaFloorError) else row(p, res))
     return out
