@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -442,22 +443,13 @@ def _powers(s: list[complex], columns: int) -> np.ndarray:
     return np.exp(np.multiply.outer(-np.array(s, dtype=np.complex128), _log_range(columns)))
 
 
-def _groups(rows, key) -> list:
-    """(key, [row, ...]) per distinct key(row), in order of first appearance."""
-    groups: dict = {}
-    for k in rows:
-        groups.setdefault(key(k), []).append(k)
-    return list(groups.items())
-
-
-def _rows(pows: np.ndarray, group: list[int], r0: int, columns: int) -> np.ndarray:
-    """The first `columns` columns of the rows `group` (ascending block indices)
-    of the sub-block matrix that starts at block row r0; a view when the
-    rows are consecutive."""
-    first, last = group[0] - r0, group[-1] - r0
-    if last - first + 1 == len(group):
-        return pows[first : last + 1, :columns]
-    return pows[[k - r0 for k in group], :columns]
+def _runs(keys: list, r0: int, r1: int):
+    """(key, lo, hi) for each run keys[lo:hi] of equal keys in keys[r0:r1]."""
+    lo = r0
+    for key, run in itertools.groupby(keys[r0:r1]):
+        hi = lo + sum(1 for _ in run)
+        yield key, lo, hi
+        lo = hi
 
 
 def _sub_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
@@ -498,10 +490,10 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
     or "checked".
 
     Each sub-block builds one exp(-s ln n) matrix, shared by both engines.
-    Rows are grouped by their own Euler (head, m) and Chebyshev n, and each
-    group is reduced row by row on exactly its own columns, so every value
-    has the bits of a one-point call.  A point whose first Euler attempt
-    misses tol climbs the retry ladder on its own.
+    Each run of consecutive rows with the same Euler (head, m), or the same
+    Chebyshev n, is reduced row by row on exactly its own columns, so every
+    value has the bits of a one-point call.  A point whose first Euler
+    attempt misses tol climbs the retry ladder on its own.
     """
     zs = [complex(alpha, beta) for beta in betas]
     imags = [z.imag for z in zs]
@@ -509,8 +501,8 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
     widths = [0] * len(zs)
     if engine != "accel":
         heads = [max(32, int(math.ceil(abs(beta)))) for beta in betas]
-        ms = _euler_tail_lengths(zs, heads, tol)
-        widths = [head + m for head, m in zip(heads, ms)]
+        tails = list(zip(heads, _euler_tail_lengths(zs, heads, tol)))
+        widths = [head + m for head, m in tails]
         euler: list = [None] * len(zs)
     if engine != "euler":
         log_tvs = [_log_total_variation(z) for z in zs]
@@ -519,12 +511,10 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
 
     for r0, r1, width in _sub_blocks(widths):
         pows = _powers(zs[r0:r1], width)
-        rows = range(r0, r1)
         if engine != "accel":
-            for (head, m), group in _groups(rows, lambda k: (heads[k], ms[k])):
-                firsts = _euler_rows(_rows(pows, group, r0, head + m),
-                                     [imags[k] for k in group], head, m)
-                for k, (value, est) in zip(group, firsts):
+            for (head, m), lo, hi in _runs(tails, r0, r1):
+                firsts = _euler_rows(pows[lo - r0 : hi - r0, : head + m], imags[lo:hi], head, m)
+                for k, (value, est) in zip(range(lo, hi), firsts):
                     euler[k] = ((value, est, head + m) if est <= tol
                                 else _euler_ladder(zs[k], head, m, tol, est))
                     if isinstance(euler[k], EtaFloorError):
@@ -533,14 +523,17 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
                         out[k] = EvalResult(euler[k][0], euler[k][1], "euler", euler[k][2])
             if engine == "euler":
                 continue
-            rows = [k for k in rows if out[k] is None]
-        for k in rows:
-            if stages[k] > MAX_ACCEL_STAGES:
-                out[k] = NonConvergenceError(f"n_stages {stages[k]} exceeds cap {MAX_ACCEL_STAGES}")
-        for n, group in _groups([k for k in rows if out[k] is None], stages.__getitem__):
-            results = _chebyshev_rows(_rows(pows, group, r0, n), [imags[k] for k in group],
-                                      n, [log_tvs[k] for k in group])
-            for k, (value, est) in zip(group, results):
+        # a row whose Euler evaluation failed keeps that error, as a one-point call does
+        for n, lo, hi in _runs(stages, r0, r1):
+            if n > MAX_ACCEL_STAGES:
+                for k in range(lo, hi):
+                    if out[k] is None:
+                        out[k] = NonConvergenceError(f"n_stages {n} exceeds cap {MAX_ACCEL_STAGES}")
+                continue
+            results = _chebyshev_rows(pows[lo - r0 : hi - r0, :n], imags[lo:hi], n, log_tvs[lo:hi])
+            for k, (value, est) in zip(range(lo, hi), results):
+                if out[k] is not None:
+                    continue
                 if engine == "checked":
                     out[k] = _checked(zs[k], euler[k], (value, est, n), tol)
                 elif est > tol:
