@@ -18,6 +18,10 @@ oracles for each other:
   representing measure, Gamma(alpha)/|Gamma(s)|, where ln|Gamma| comes from
   an in-house Stirling series.
 
+``eta_line`` evaluates the points of one vertical line in blocks that share
+one exp(-s ln n) matrix between the Euler and Chebyshev engines, with the
+bits of one-point calls; ``eta_eval`` is ``eta_line`` at one point.
+
 Error certificates: accelerated engines report a heuristic estimate
 (last-correction magnitude x 10, or the Chebyshev truncation model) plus a
 phase-roundoff floor eps*(2*sum|a| + |beta|*sum|a|*ln n); only the real-axis

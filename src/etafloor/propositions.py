@@ -328,12 +328,11 @@ def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     chunk = 512
     for i0 in range(0, cases, chunk):
         f = family[i0 : i0 + chunk]
+        pk, qk, ck = (x[i0 : i0 + chunk, None] for x in (p, q, c))
         terms = np.empty((f.size, n.size))
-        power, geometric, shifted = (f == 0), (f == 1), (f == 2)
-        terms[power] = n ** -p[i0 : i0 + chunk][power][:, None]
-        terms[geometric] = q[i0 : i0 + chunk][geometric][:, None] ** n
-        terms[shifted] = ((n + c[i0 : i0 + chunk][shifted][:, None])
-                          ** -p[i0 : i0 + chunk][shifted][:, None])
+        terms[f == 0] = n ** -pk[f == 0]
+        terms[f == 1] = qk[f == 1] ** n
+        terms[f == 2] = (n + ck[f == 2]) ** -pk[f == 2]
         a = terms[:, : max_m + 1]
         limit = crvz_reference_sum(terms)
         partials = np.cumsum(signs * a, axis=1)
