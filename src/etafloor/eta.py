@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -447,13 +446,16 @@ def _powers(s: list[complex], columns: int) -> np.ndarray:
     return np.exp(np.multiply.outer(-np.array(s, dtype=np.complex128), _log_range(columns)))
 
 
-def _runs(keys: list, r0: int, r1: int):
+def _runs(keys: list, r0: int, r1: int) -> list[tuple]:
     """(key, lo, hi) for each run keys[lo:hi] of equal keys in keys[r0:r1]."""
+    runs = []
     lo = r0
-    for key, run in itertools.groupby(keys[r0:r1]):
-        hi = lo + sum(1 for _ in run)
-        yield key, lo, hi
-        lo = hi
+    for k in range(r0 + 1, r1):
+        if keys[k] != keys[lo]:
+            runs.append((keys[lo], lo, k))
+            lo = k
+    runs.append((keys[lo], lo, r1))
+    return runs
 
 
 def _sub_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
