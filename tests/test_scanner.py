@@ -3,14 +3,22 @@ import math
 import pytest
 
 from etafloor.decomposition import LeadingComponent
-from etafloor.eta import ComplexPoint, eta_eval
+import etafloor.eta as eta_mod
+from etafloor.eta import ComplexPoint, eta_eval, eta_line
 from etafloor.exceptions import (
     CrossCheckError,
     DomainError,
+    EtaFloorError,
     NonConvergenceError,
     NoZeroFoundError,
 )
 from etafloor.scanner import (
+    SCAN_REFINE_XTOL,
+    ZERO_GRID_STEP,
+    ZERO_REFINE_XTOL,
+    _grid_count,
+    _local_minima,
+    _refine_basins,
     bound_floor,
     golden_section_min,
     locate_zero,
@@ -92,6 +100,71 @@ class TestGoldenSection:
         x, fx = golden_section_min(f, 0.0, 5.0, 1e-6)
         assert x in seen
         assert fx == f(x)
+
+    def test_probe_sequence_is_pinned(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return (x - 1.25) ** 2 + 3.0
+
+        assert golden_section_min(f, 0.0, 3.0, 1e-10) == (1.2499999925116705, 3.0)
+        assert [x.hex() for x in seen] == PARABOLA_PROBES
+
+    def test_empty_bracket(self):
+        with pytest.raises(DomainError, match="golden section needs hi > lo"):
+            golden_section_min(abs, 1.0, 1.0, 1e-9)
+
+
+# probes of golden_section_min on (x - 1.25)**2 + 3 over [0, 3] at xtol 1e-10
+PARABOLA_PROBES = [
+    "0x1.255992d382208p+0", "0x1.daa66d2c7ddf8p+0", "0x1.6a99b4b1f77dcp-1", "0x1.6a99b4b1f77dep+0",
+    "0x1.f519f86ee2386p-1", "0x1.3fcd1e15e6798p+0", "0x1.5026296f9324fp+0", "0x1.35b29e2d2ecc0p+0",
+    "0x1.460ba986db778p+0", "0x1.3bf1299e23ca1p+0", "0x1.422fb50f18c81p+0", "0x1.3e53c0975618bp+0",
+    "0x1.40b6579088674p+0", "0x1.3f3cfa11f8067p+0", "0x1.4026338c99f44p+0", "0x1.405d4219d4ec8p+0",
+    "0x1.40042ca32171cp+0", "0x1.3fef24ff5efc0p+0", "0x1.40112be8d77e9p+0", "0x1.3ffc24451508dp+0",
+    "0x1.3ff72d5d6b64fp+0", "0x1.3fff35bb77cddp+0", "0x1.40011b2cbeaccp+0", "0x1.3ffe09b65be7cp+0",
+    "0x1.3fffef27a2c6bp+0", "0x1.400061c093b3fp+0", "0x1.3fffa85468bb2p+0", "0x1.40001aed59a86p+0",
+    "0x1.3fffd41a1f9cep+0", "0x1.3fffffdfd67eap+0", "0x1.40000a3525f07p+0", "0x1.3ffff97cf2388p+0",
+    "0x1.400003d241aa5p+0", "0x1.3ffffd6f5d643p+0", "0x1.40000161c88fep+0", "0x1.3ffffef14f757p+0",
+    "0x1.400000734186bp+0", "0x1.3fffff84ba7d8p+0", "0x1.400000182585ap+0", "0x1.3fffffbd09848p+0",
+    "0x1.3ffffff5588b9p+0", "0x1.3fffffd28b917p+0", "0x1.3fffffca5471bp+0", "0x1.3fffffc540a45p+0",
+    "0x1.3fffffc21d51ep+0", "0x1.3fffffc02cd6fp+0", "0x1.3fffffbef9ff7p+0", "0x1.3fffffc0ea7a6p+0",
+    "0x1.3fffffbfb7a2fp+0", "0x1.3fffffc075466p+0", "0x1.3fffffc000127p+0", "0x1.3fffffbfe4677p+0",
+    "0x1.3fffffc0112bfp+0",
+]
+
+
+def _grid_abs(alpha, lo, hi, step, tol):
+    """|eta| at the scanner's grid lo + k*step, NaN where a point failed."""
+    betas = [lo + k * step for k in range(_grid_count(lo, hi, step))]
+    return [math.nan if isinstance(res, EtaFloorError) else abs(res.value)
+            for res in eta_line(alpha, betas, tol, "checked")]
+
+
+class TestRefineBasins:
+    """_refine_basins gives, basin by basin, what golden_section_min gives."""
+
+    @pytest.mark.parametrize("alpha, lo, hi, step, xtol, tol, whole", [
+        (0.5, 0.0, 60.0, ZERO_GRID_STEP, ZERO_REFINE_XTOL, 1e-10, None),    # zero survey
+        (0.75, 150.0, 180.0, 0.01, SCAN_REFINE_XTOL, 1e-9, None),           # acceptance line
+        (0.5, 14.13, 14.135, ZERO_GRID_STEP, ZERO_REFINE_XTOL, 1e-10, (14.13, 14.135)),
+        (0.5, 14.0, 14.3, ZERO_GRID_STEP, ZERO_REFINE_XTOL, 1e-10, (14.0, 14.3)),
+    ], ids=["zeros-0-60", "accept-150-180", "whole-bracket", "whole-unused"])
+    def test_equals_golden_section_bracket_by_bracket(self, alpha, lo, hi, step, xtol, tol, whole):
+        values = _grid_abs(alpha, lo, hi, step, tol)
+
+        def f(x):
+            return abs(eta_eval(ComplexPoint(alpha, x), tol, "checked").value)
+
+        brackets = [(i, lo + (i - 1) * step, lo + (i + 1) * step) for i in _local_minima(values)]
+        if whole is not None and not brackets:
+            brackets = [(None, *whole)]
+        expected = [(i, *golden_section_min(f, b_lo, b_hi, xtol)) for i, b_lo, b_hi in brackets]
+        got = _refine_basins(values, alpha, lo, step, xtol, tol, "checked", whole)
+        assert expected
+        assert (expected[0][0] is None) == (len(values) < 3)
+        assert [row[:3] for row in got] == expected
 
 
 class TestScanLine:
@@ -261,6 +334,26 @@ class TestZeros:
     def test_survey_raises_first_uncertified_point(self, workers):
         with pytest.raises(NonConvergenceError, match=r"s=0\.5\+4400j"):
             survey_zeros(4400.0, 4400.5, workers=workers)
+
+    def test_survey_raises_the_lowest_failed_basin(self, monkeypatch):
+        # the basin at 21.02 fails at its first probe, the one at 14.13 only
+        # once its bracket is 1e-4 wide: the lower basin's error still wins
+        real_block = eta_mod._eval_block
+
+        def failing(alpha, betas, tol, engine):
+            out = real_block(alpha, betas, tol, engine)
+            for k, t in enumerate(betas):
+                if t == round(t / ZERO_GRID_STEP) * ZERO_GRID_STEP:
+                    continue  # grid points are left alone
+                if abs(t - ZERO_T1) < 1e-4:
+                    out[k] = NonConvergenceError(f"injected low at t={t!r}")
+                elif 20.9 < t < 21.1:
+                    out[k] = CrossCheckError(f"injected high at t={t!r}")
+            return out
+
+        monkeypatch.setattr(eta_mod, "_eval_block", failing)
+        with pytest.raises(NonConvergenceError, match="injected low"):
+            survey_zeros(0.0, 30.0, 1e-8)
 
 class TestZeroGeometry:
     def test_first_zero_geometry(self):
