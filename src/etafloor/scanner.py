@@ -12,8 +12,9 @@ marks as leading.
 
 Scans are deterministic: the beta grid is an index formula, workers receive
 contiguous index chunks, results merge in ascending beta order, and every local
-minimum is refined by golden section (the refined samples join the report so
-the reported minimum is the minimum over the report's samples).
+minimum is refined by golden section, all basins of a line in lockstep (the
+refined samples join the report so the reported minimum is the minimum over
+the report's samples).
 
 Zero location runs the same machinery on f(t) = |eta(1/2 + i t)| with a much
 finer abscissa resolution, and accepts an ordinate only when the residual is
@@ -26,7 +27,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 from .eta import (
@@ -248,18 +249,16 @@ def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float
             for j in range(0, len(results), len(chunks))]
 
 
-def _abs_eta(s: ComplexPoint, tol: float, engine: str) -> float:
-    return abs(eta_eval(s, tol, engine).value)
-
-
 # ----------------------------------------------------------------------------
 # golden-section refinement
 # ----------------------------------------------------------------------------
 
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float
-) -> tuple[float, float]:
-    """Minimum of a unimodal f on [lo, hi]; returns the best evaluated point.
+def _golden_section(
+    lo: float, hi: float, xtol: float
+) -> Generator[float, float, tuple[float, float]]:
+    """Golden section for the minimum of a unimodal f on [lo, hi], as a
+    generator: it yields each probe x, is sent f(x), and returns the best
+    evaluated (x, f(x)).
 
     Returning an actually-evaluated point (rather than the final bracket
     midpoint) keeps "refined minimum <= coarse minimum" true by construction
@@ -270,7 +269,8 @@ def golden_section_min(
     a, b = lo, hi
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     for _ in range(GOLDEN_MAX_ITER):
         if (b - a) <= xtol:
@@ -278,16 +278,29 @@ def golden_section_min(
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - INV_PHI * (b - a)
-            fc = f(c)
+            fc = yield c
             if fc < best_f:
                 best_x, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + INV_PHI * (b - a)
-            fd = f(d)
+            fd = yield d
             if fd < best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
+
+
+def golden_section_min(
+    f: Callable[[float], float], lo: float, hi: float, xtol: float
+) -> tuple[float, float]:
+    """Minimum of a unimodal f on [lo, hi]; returns the best evaluated point."""
+    search = _golden_section(lo, hi, xtol)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(f(x))
+        except StopIteration as done:
+            return done.value
 
 
 def _local_minima(values: Sequence[float]) -> list[int]:
@@ -303,23 +316,55 @@ def _local_minima(values: Sequence[float]) -> list[int]:
     return idx
 
 
+class _ProbeAbs(float):
+    """|eta| at a refinement probe, carrying the probe's EvalResult, so the
+    best point golden section returns brings its result along."""
+
+    __slots__ = ("result",)
+
+    def __new__(cls, result: EvalResult) -> _ProbeAbs:
+        self = super().__new__(cls, abs(result.value))
+        self.result = result
+        return self
+
+
 def _refine_basins(
     values: Sequence[float], alpha: float, lo: float, step: float, xtol: float, tol: float,
     engine: str, whole: tuple[float, float] | None = None,
-) -> list[tuple[int | None, float, float]]:
-    """(i, x, |eta(alpha + ix)|) at the golden-section minimum of each grid basin.
+) -> list[tuple[int | None, float, float, EvalResult | EtaFloorError]]:
+    """(i, x, |eta(alpha + ix)|, eta(alpha + ix)) at the golden-section minimum
+    of each grid basin, in basin order.
 
     values[i] is the grid sample at x = lo + i*step (NaN where it failed); the
     basin of an interior local minimum i is [lo + (i-1)*step, lo + (i+1)*step].
     A grid without interior minima refines the bracket `whole`, if given, as i = None.
+    Every basin advances in lockstep: each round evaluates the next probe of
+    every unfinished basin with one eta_line call.  A basin whose probe fails
+    stops there, as (i, probe, NaN, the EtaFloorError).
     """
-    def f_abs(x: float) -> float:
-        return _abs_eta(ComplexPoint(alpha, x), tol, engine)
-
     brackets = [(i, lo + (i - 1) * step, lo + (i + 1) * step) for i in _local_minima(values)]
     if whole is not None and not brackets:
         brackets = [(None, *whole)]
-    return [(i, *golden_section_min(f_abs, b_lo, b_hi, xtol)) for i, b_lo, b_hi in brackets]
+    searches = [_golden_section(b_lo, b_hi, xtol) for _, b_lo, b_hi in brackets]
+    probes = [next(search) for search in searches]
+    refined: list = [None] * len(brackets)
+    active = list(range(len(brackets)))
+    while active:
+        results = eta_line(alpha, [probes[j] for j in active], tol, engine)
+        still = []
+        for j, res in zip(active, results):
+            if isinstance(res, EtaFloorError):
+                refined[j] = (brackets[j][0], probes[j], math.nan, res)
+                continue
+            try:
+                probes[j] = searches[j].send(_ProbeAbs(res))
+                still.append(j)
+            except StopIteration as done:
+                best_x, best_f = done.value
+                refined[j] = (brackets[j][0], best_x, float(best_f), best_f.result)
+        active = still
+    return refined
+
 
 
 # ----------------------------------------------------------------------------
@@ -361,18 +406,14 @@ def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, to
     eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
     beta_set = {smp.s.beta for smp in samples}
     refined: list[BoundSample] = []
-    for i, x, _ in _refine_basins(eta_abs_values, alpha, beta_min, step, SCAN_REFINE_XTOL,
-                                  eval_tol, engine):
-        if x in beta_set:
-            continue
-        try:
-            candidate = tail_inequality_check(ComplexPoint(alpha, x), eval_tol, engine)
-        except EtaFloorError as exc:
-            failures.append(ScanFailure(ComplexPoint(alpha, x), type(exc).__name__, str(exc)))
-            continue
+    for i, x, x_abs, res in _refine_basins(eta_abs_values, alpha, beta_min, step,
+                                           SCAN_REFINE_XTOL, eval_tol, engine):
+        # a failed probe ends its basin, which keeps its grid sample
+        if isinstance(res, EtaFloorError):
+            failures.append(ScanFailure(ComplexPoint(alpha, x), type(res).__name__, str(res)))
         # keep only genuine improvements over the basin's grid sample
-        if candidate.eta_abs < eta_abs_values[i]:
-            refined.append(candidate)
+        elif x not in beta_set and x_abs < eta_abs_values[i]:
+            refined.append(_bound_sample(ComplexPoint(alpha, x), res))
 
     merged = sorted(samples + refined, key=lambda smp: smp.s.beta)
     if merged:
@@ -457,7 +498,8 @@ def _zero_candidates(
 
     The grid t_lo + i*grid_step is sampled in worker chunks (then the failed
     point of lowest index, if any, raises its error), every interior
-    local minimum is refined by golden section, and the Euler/Chebyshev gap is
+    local minimum is refined by golden section (then the failed basin of
+    lowest index, if any, raises its error), and the Euler/Chebyshev gap is
     measured wherever the residual is below tol (elsewhere it is inf).  With
     `whole_bracket`, a grid without interior minima refines [t_lo, t_hi] itself.
     """
@@ -466,16 +508,19 @@ def _zero_candidates(
     eval_tol = max(tol / 100.0, 1e-12)
     count = _grid_count(t_lo, t_hi, grid_step)
     values, = _sample_lines(_abs_value, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
-    for value in values:
-        if isinstance(value, EtaFloorError):
-            raise value
-    candidates = []
-    for _, t_star, residual in _refine_basins(values, 0.5, t_lo, grid_step, ZERO_REFINE_XTOL,
-                                              eval_tol, engine,
-                                              (t_lo, t_hi) if whole_bracket else None):
-        gap = _engine_gap_at(t_star, eval_tol) if residual < tol else math.inf
-        candidates.append((t_star, residual, gap))
-    return candidates
+    _raise_first_error(values)
+    refined = _refine_basins(values, 0.5, t_lo, grid_step, ZERO_REFINE_XTOL, eval_tol, engine,
+                             (t_lo, t_hi) if whole_bracket else None)
+    _raise_first_error([res for _, _, _, res in refined])
+    return [(t_star, residual, _engine_gap_at(t_star, eval_tol) if residual < tol else math.inf)
+            for _, t_star, residual, _ in refined]
+
+
+def _raise_first_error(results: Sequence) -> None:
+    """Raise the first EtaFloorError among results, if there is one."""
+    for res in results:
+        if isinstance(res, EtaFloorError):
+            raise res
 
 
 def survey_zeros(

@@ -244,6 +244,33 @@ class TestScanLine:
         assert report.violations == tuple(v for v in clean.violations if v.s.beta != bad_beta)
         assert (report.min_eta_abs, report.argmin_beta) == (clean.min_eta_abs, clean.argmin_beta)
 
+    def test_failed_refinement_probe_keeps_the_basin_grid_sample(self, monkeypatch):
+        clean = scan_line(0.75, 160.0, 166.0, 0.01)
+        real_block = eta_mod._eval_block
+
+        def off_grid(beta):
+            return beta != 160.0 + round((beta - 160.0) / 0.01) * 0.01
+
+        def failing(alpha, betas, tol, engine):
+            return [CrossCheckError("injected", gap=1.0, budget=0.0)
+                    if 163.0 < beta < 163.2 and off_grid(beta) else res
+                    for beta, res in zip(betas, real_block(alpha, betas, tol, engine))]
+
+        monkeypatch.setattr(eta_mod, "_eval_block", failing)
+        report = scan_line(0.75, 160.0, 166.0, 0.01)
+        (failure,) = report.failures
+        assert (failure.error, failure.message) == ("CrossCheckError", "injected")
+        assert 163.0 < failure.s.beta < 163.2 and off_grid(failure.s.beta)
+        # the clean line's only refined row in the window is its minimum
+        dropped = [smp for smp in clean.samples if 163.0 < smp.s.beta < 163.2
+                   and off_grid(smp.s.beta)]
+        assert [smp.s.beta for smp in dropped] == [clean.argmin_beta]
+        kept = tuple(smp for smp in clean.samples if smp not in dropped)
+        assert report.samples == kept
+        assert report.violations == tuple(v for v in clean.violations if v not in dropped)
+        assert (report.min_eta_abs, report.argmin_beta) == min(
+            (smp.eta_abs, smp.s.beta) for smp in kept)
+
     def test_worker_determinism(self):
         from etafloor.reporting import serialize_report
 
