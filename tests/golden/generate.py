@@ -74,6 +74,8 @@ def golden_reports() -> dict:
     return {
         "line": scan_line(0.75, 163.06, 163.12, 0.01),
         "grid": scan_grid((0.6, 0.7), (0.0, 1.0), 0.1, 0.25),
+        # pooled, near beta 2000: every sub-block of the engines holds one row
+        "grid_high": scan_grid((0.55, 0.95), (2000.4, 2000.5), 0.2, 0.01, workers=2),
         "eval": EvalReport(eval_point, 1e-10, "checked", eta_eval(eval_point, 1e-10)),
         "props": PropsReport(cases=50, seed=3, rows=tuple(run_all_suites(50, 3))),
         "pca": PcaReport(tol=1e-10, rows=tuple(

@@ -14,7 +14,7 @@ NAMES = sorted(path.stem for path in GOLDEN.glob("*.json"))
 
 
 def test_every_report_kind_has_a_fixture():
-    assert NAMES == sorted(["line", "grid", "eval", "props", "pca", "zeros",
+    assert NAMES == sorted(["line", "grid", "grid_high", "eval", "props", "pca", "zeros",
                             "merged_scan", "merged_zeros", "failed_line"])
 
 
@@ -31,6 +31,8 @@ CLI_RUNS = {
     "line": [["scan", "--alpha", "0.75", "--beta", "163.06:163.12", "--step", "0.01"]],
     "grid": [["scan", "--alpha", "0.6:0.7", "--alpha-step", "0.1", "--beta", "0:1",
               "--step", "0.25"]],
+    "grid_high": [["scan", "--alpha", "0.55:0.95", "--alpha-step", "0.2", "--beta",
+                   "2000.4:2000.5", "--step", "0.01", "--workers", "2"]],
     "eval": [["eval", "--s", "0.5+14.1i", "--tol", "1e-10"]],
     "props": [["props", "--cases", "50", "--seed", "3"]],
     "zeros": [["zeros", "--t", "0:30", "--tol", "1e-8"]],

@@ -309,6 +309,13 @@ class TestScanGrid:
         with pytest.raises(DomainError):
             scan_grid((0.6, 0.8), (5.0, 1.0), 0.2, 0.1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lines_equal_scan_line_near_2000(self, workers):
+        alphas = [0.55 + j * 0.1 for j in range(_grid_count(0.55, 0.95, 0.1))]
+        grid = scan_grid((0.55, 0.95), (2000.0, 2001.0), 0.1, 0.01, workers=workers)
+        assert len(alphas) == 5
+        assert grid.lines == tuple(scan_line(a, 2000.0, 2001.0, 0.01) for a in alphas)
+
     def test_pooled_grid_bytes_equal_serial(self):
         from etafloor.reporting import serialize_report
 
