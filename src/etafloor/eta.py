@@ -18,9 +18,13 @@ oracles for each other:
   representing measure, Gamma(alpha)/|Gamma(s)|, where ln|Gamma| comes from
   an in-house Stirling series.
 
-``eta_line`` evaluates the points of one vertical line in blocks that share
-one exp(-s ln n) matrix between the Euler and Chebyshev engines, with the
-bits of one-point calls; ``eta_eval`` is ``eta_line`` at one point.
+``eta_lines`` evaluates several vertical lines on one beta grid in blocks.
+Every n^(-s) matrix is built in one place, as a per-line magnitude row
+n^(-alpha) times a per-block phase matrix e^(-i beta ln n): the lines of a
+block share its phases, and the Euler and Chebyshev engines share each
+line's matrix.  Every value keeps the bits of a one-point call.
+``eta_line`` is ``eta_lines`` on one line, and ``eta_eval`` is ``eta_line``
+at one point.
 
 Error certificates: accelerated engines report a heuristic estimate
 (last-correction magnitude x 10, or the Chebyshev truncation model) plus a
@@ -34,6 +38,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +62,7 @@ __all__ = [
     "accel_stages_for",
     "eta_eval",
     "eta_line",
+    "eta_lines",
     "eta_conjugate",
     "conversion_factor",
     "factor_zero",
@@ -81,10 +87,11 @@ MAX_PARTIAL_TERMS = 20_000_000
 MAX_ACCEL_STAGES = 4096
 MAX_EULER_HEAD = 400_000
 BLOCK_POINTS = 128  # most points eta_line evaluates together
-BLOCK_ELEMENTS = 4096  # most entries of one exp(-s ln n) matrix (one row always fits)
+BLOCK_ELEMENTS = 4096  # most entries of one n^(-s) matrix (one row always fits)
 ZETA_EXCLUSION = 1e-6  # least |1 - 2^(1-s)| zeta_from_eta divides by
 
-# read-only cache of ln n, n = 1..size; grown before parallel sections
+# read-only cache of ln n, n = 1..size; replaced, never written, when it grows;
+# the scanner grows it before its process pool starts (_reserve_logs)
 _LOG_TABLE_LIMIT = 1_000_000
 _logs = np.log(np.arange(1, 4097, dtype=np.float64))
 _JS = np.arange(1.0, 97.0)  # Euler tail-length model: corrections j = 1..96
@@ -151,6 +158,18 @@ def _log_range(n: int) -> np.ndarray:
     return _logs[:n]
 
 
+def _euler_head(beta: float) -> int:
+    """Terms the Euler engine sums directly, before transforming the tail."""
+    return max(32, int(math.ceil(abs(beta))))
+
+
+def _reserve_logs(beta_max: float) -> None:
+    """Grow the ln n table to the widest first Euler attempt at |beta| <= beta_max
+    (the Chebyshev stage cap is already inside it), so that processes started
+    afterwards share the table instead of each growing its own."""
+    _log_range(_euler_head(beta_max) + int(_JS[-1]))
+
+
 def _alternating_signs(n: int) -> np.ndarray:
     signs = np.ones(n)
     signs[1::2] = -1.0
@@ -179,7 +198,8 @@ def eta_partial_sum(s: PointLike, n_terms: int) -> complex:
             lnn = _log_range(stop)
         else:
             lnn = np.log(np.arange(start, stop + 1, dtype=np.float64))
-        total += complex(np.sum(_alternating_signs(stop - start + 1) * np.exp(-sc * lnn)))
+        pows = _power_row(sc.real, sc.imag, lnn)[0]
+        total += complex(np.sum(_alternating_signs(stop - start + 1) * pows))
     return total
 
 
@@ -237,15 +257,15 @@ def _euler_tail_lengths(s: list[complex], heads: list[int], tol: float) -> list[
             for k, found in zip(hit.argmax(axis=1).tolist(), hit.any(axis=1).tolist())]
 
 
-def _euler_rows(pows: np.ndarray, betas, head: int, m: int) -> list[tuple[complex, float]]:
+def _euler_rows(pows: np.ndarray, absp: np.ndarray, betas, head: int,
+                m: int) -> list[tuple[complex, float]]:
     """(value, estimate) of the Euler attempt (head, m) per row, where row r of
-    `pows` is n^(-s_r) for n = 1..head+m."""
+    `pows` is n^(-s_r) for n = 1..head+m and `absp` is abs(pows)."""
     lnn = _log_range(head + m)
     head_sums = (_alternating_signs(head) * pows[:, :head]).sum(axis=1)
     b = pows[:, head:]
     full = (_euler_weights(m) * b).sum(axis=1)
     short = (_euler_weights(m - 8) * b[:, : m - 8]).sum(axis=1)
-    absp = np.abs(pows)
     tail_sign = 1.0 if head % 2 == 0 else -1.0
     out = []
     for head_sum, tail, tail2, abs_sum, row, beta in zip(
@@ -266,7 +286,8 @@ def _euler_ladder(z: complex, head: int, m: int, tol: float,
     for head, m in ((head, min(96, m + 16)), (2 * head, 96), (4 * head, 96)):
         if head > MAX_EULER_HEAD:
             break
-        value, est = _euler_rows(_powers([z], head + m), [z.imag], head, m)[0]
+        pows = _power_row(z.real, z.imag, _log_range(head + m))
+        value, est = _euler_rows(pows, np.abs(pows), [z.imag], head, m)[0]
         if est <= tol:
             return value, est, head + m
     return NonConvergenceError(
@@ -357,15 +378,16 @@ def accel_stages_for(s: PointLike, tol: float) -> int:
     return _stages(_log_total_variation(p.to_complex()), tol)
 
 
-def _chebyshev_rows(pows: np.ndarray, betas, n: int, log_tvs) -> list[tuple[complex, float]]:
+def _chebyshev_rows(pows: np.ndarray, absp: np.ndarray, betas, n: int,
+                    log_tvs) -> list[tuple[complex, float]]:
     """(value, estimate) of the Chebyshev-weighted sum of n terms per row, where
-    row r of `pows` is n^(-s_r) for n = 1..n and log_tvs[r] is
-    ln(Gamma(alpha)/|Gamma(s_r)|).  The estimate is the truncation model
+    row r of `pows` is n^(-s_r) for n = 1..n, `absp` is abs(pows) and
+    log_tvs[r] is ln(Gamma(alpha)/|Gamma(s_r)|).  The estimate is the truncation model
     2 (3+sqrt 8)^(-n) Gamma(alpha)/|Gamma(s)| plus the roundoff floor."""
     weights = _crvz_weights(n)
     lnn = _log_range(n)
     values = (weights * pows).sum(axis=1)
-    wabs = np.abs(weights) * np.abs(pows)
+    wabs = np.abs(weights) * absp
     out = []
     for value, abs_sum, row, beta, log_tv in zip(values.tolist(), wabs.sum(axis=1).tolist(),
                                                  wabs, betas, log_tvs):
@@ -384,7 +406,8 @@ def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
     if n > MAX_ACCEL_STAGES:
         raise NonConvergenceError(f"n_stages {n} exceeds cap {MAX_ACCEL_STAGES}")
     sc = p.to_complex()
-    value, est = _chebyshev_rows(_powers([sc], n), [p.beta], n, [_log_total_variation(sc)])[0]
+    pows = _power_row(sc.real, sc.imag, _log_range(n))
+    value, est = _chebyshev_rows(pows, np.abs(pows), [p.beta], n, [_log_total_variation(sc)])[0]
     return EvalResult(value, est, "accel", n)
 
 
@@ -441,9 +464,37 @@ def _domain_error(alpha, tol: float, engine: str) -> DomainError | None:
     return None
 
 
-def _powers(s: list[complex], columns: int) -> np.ndarray:
-    """Row r is n^(-s_r) = exp(-s_r ln n) for n = 1..columns."""
-    return np.exp(np.multiply.outer(-np.array(s, dtype=np.complex128), _log_range(columns)))
+def _magnitudes(alpha: float, lnn: np.ndarray) -> np.ndarray:
+    """n^(-alpha) = exp(-alpha ln n) for the ln n in lnn, taken by the complex exp
+    (numpy's float exp is another routine, with other bits)."""
+    return np.exp(np.multiply(-alpha, lnn) + 0j).real.copy()
+
+
+def _phases(betas, lnn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of -beta ln n for the ln n in lnn, row r for betas[r]."""
+    y = np.multiply.outer(np.negative(np.array(betas, dtype=np.float64)), lnn)
+    return np.cos(y), np.sin(y)
+
+
+def _powers(magnitudes: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Row r is n^(-s_r) = n^(-alpha) e^(-i beta_r ln n): the magnitude row times
+    row r of the phases, over as many columns as the phases have.
+
+    The complex exp(x + iy) returns exp(x) cos y + i exp(x) sin y, so forming
+    the real and imaginary parts apart gives every bit of exp(-s ln n), signed
+    zeros included (a complex-times-real product flips some zeros at beta = 0).
+    """
+    cos, sin = phases
+    magnitudes = magnitudes[: cos.shape[1]]
+    out = np.empty(cos.shape, dtype=np.complex128)
+    np.multiply(cos, magnitudes, out=out.real)
+    np.multiply(sin, magnitudes, out=out.imag)
+    return out
+
+
+def _power_row(alpha: float, beta: float, lnn: np.ndarray) -> np.ndarray:
+    """n^(-alpha - i beta) for the ln n in lnn, as a one-row matrix."""
+    return _powers(_magnitudes(alpha, lnn), _phases([beta], lnn))
 
 
 def _runs(keys: list, r0: int, r1: int) -> list[tuple]:
@@ -491,35 +542,40 @@ def _checked(z: complex, euler: tuple, accel: tuple, tol: float) -> EvalResult |
     return EvalResult(value, est, method, euler[2] + accel[2])
 
 
-def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
-    """eta_line on at most BLOCK_POINTS points of one engine, "euler", "accel"
-    or "checked".
+class _BlockLine:
+    """One line's points in an _eval_block call: their Euler and Chebyshev
+    parameters, the row width each needs, the line's magnitude row and the
+    results so far (None where a point has none yet)."""
 
-    Each sub-block builds one exp(-s ln n) matrix, shared by both engines.
-    Each run of consecutive rows with the same Euler (head, m), or the same
-    Chebyshev n, is reduced row by row on exactly its own columns, so every
-    value has the bits of a one-point call.  A point whose first Euler
-    attempt misses tol climbs the retry ladder on its own.
-    """
-    zs = [complex(alpha, beta) for beta in betas]
-    imags = [z.imag for z in zs]
-    out: list = [None] * len(zs)
-    widths = [0] * len(zs)
-    if engine != "accel":
-        heads = [max(32, int(math.ceil(abs(beta)))) for beta in betas]
-        tails = list(zip(heads, _euler_tail_lengths(zs, heads, tol)))
-        widths = [head + m for head, m in tails]
-        euler: list = [None] * len(zs)
-    if engine != "euler":
-        log_tvs = [_log_total_variation(z) for z in zs]
-        stages = [_stages(log_tv, tol) for log_tv in log_tvs]
-        widths = [max(w, n) if n <= MAX_ACCEL_STAGES else w for w, n in zip(widths, stages)]
-
-    for r0, r1, width in _sub_blocks(widths):
-        pows = _powers(zs[r0:r1], width)
+    def __init__(self, alpha: float, betas: list, heads: list | None, tol: float, engine: str):
+        self.zs = [complex(alpha, beta) for beta in betas]
+        self.imags = [z.imag for z in self.zs]
+        self.tol, self.engine = tol, engine
+        self.out: list = [None] * len(self.zs)
+        self.widths = [0] * len(self.zs)
         if engine != "accel":
-            for (head, m), lo, hi in _runs(tails, r0, r1):
-                firsts = _euler_rows(pows[lo - r0 : hi - r0, : head + m], imags[lo:hi], head, m)
+            self.tails = list(zip(heads, _euler_tail_lengths(self.zs, heads, tol)))
+            self.widths = [head + m for head, m in self.tails]
+            self.euler: list = [None] * len(self.zs)
+        if engine != "euler":
+            self.log_tvs = [_log_total_variation(z) for z in self.zs]
+            self.stages = [_stages(log_tv, tol) for log_tv in self.log_tvs]
+            self.widths = [max(w, n) if n <= MAX_ACCEL_STAGES else w
+                           for w, n in zip(self.widths, self.stages)]
+        self.magnitudes = _magnitudes(alpha, _log_range(max(self.widths)))
+
+    def evaluate(self, r0: int, r1: int, phases: tuple[np.ndarray, np.ndarray]) -> None:
+        """The results of rows r0..r1-1, whose phases are at least as wide as
+        any of these rows needs."""
+        tol, engine, zs, imags, out = self.tol, self.engine, self.zs, self.imags, self.out
+        width = max(self.widths[r0:r1])
+        pows = _powers(self.magnitudes, (phases[0][:, :width], phases[1][:, :width]))
+        absp = np.abs(pows)  # both engines' roundoff floors read it
+        if engine != "accel":
+            euler = self.euler
+            for (head, m), lo, hi in _runs(self.tails, r0, r1):
+                rows = slice(lo - r0, hi - r0), slice(0, head + m)
+                firsts = _euler_rows(pows[rows], absp[rows], imags[lo:hi], head, m)
                 for k, (value, est) in zip(range(lo, hi), firsts):
                     euler[k] = ((value, est, head + m) if est <= tol
                                 else _euler_ladder(zs[k], head, m, tol, est))
@@ -528,50 +584,96 @@ def _eval_block(alpha, betas: list, tol: float, engine: str) -> list:
                     elif engine == "euler":
                         out[k] = EvalResult(euler[k][0], euler[k][1], "euler", euler[k][2])
             if engine == "euler":
-                continue
+                return
         # a row whose Euler evaluation failed keeps that error, as a one-point call does
-        for n, lo, hi in _runs(stages, r0, r1):
+        for n, lo, hi in _runs(self.stages, r0, r1):
             if n > MAX_ACCEL_STAGES:
                 for k in range(lo, hi):
                     if out[k] is None:
                         out[k] = NonConvergenceError(f"n_stages {n} exceeds cap {MAX_ACCEL_STAGES}")
                 continue
-            results = _chebyshev_rows(pows[lo - r0 : hi - r0, :n], imags[lo:hi], n, log_tvs[lo:hi])
+            rows = slice(lo - r0, hi - r0), slice(0, n)
+            results = _chebyshev_rows(pows[rows], absp[rows], imags[lo:hi], n, self.log_tvs[lo:hi])
             for k, (value, est) in zip(range(lo, hi), results):
                 if out[k] is not None:
                     continue
                 if engine == "checked":
-                    out[k] = _checked(zs[k], euler[k], (value, est, n), tol)
+                    out[k] = _checked(zs[k], self.euler[k], (value, est, n), tol)
                 elif est > tol:
                     out[k] = NonConvergenceError(
                         f"accel engine cannot certify tol={tol:g} at s={zs[k]:g} "
                         f"(estimate {est:g})")
                 else:
                     out[k] = EvalResult(value, est, "accel", n)
+
+
+def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -> list:
+    """eta_lines on at most BLOCK_POINTS betas of each line alpha, for the
+    engine "euler", "accel" or "checked": the results line after line, so
+    result k of line j stands at j*len(betas) + k.
+
+    Sub-blocks are cut by the widest row any line needs, and each builds one
+    phase matrix that every line shares.  Each line forms its own n^(-s)
+    matrix from it and the line's magnitude row, one line at a time, and
+    both engines slice that matrix.  Each run of consecutive rows with the
+    same Euler (head, m), or the same Chebyshev n, is reduced row by row on
+    exactly its own columns, so every value has the bits of a one-point
+    call.  A point whose first Euler attempt misses tol climbs the retry
+    ladder on its own.
+    """
+    heads = [_euler_head(beta) for beta in betas] if engine != "accel" else None
+    lines = [_BlockLine(alpha, betas, heads, tol, engine) for alpha in alphas]
+    widths = [max(row) for row in zip(*(line.widths for line in lines))]
+    for r0, r1, width in _sub_blocks(widths):
+        phases = _phases(betas[r0:r1], _log_range(width))
+        for line in lines:
+            line.evaluate(r0, r1, phases)
+    return [result for line in lines for result in line.out]
+
+
+def _partial_line(alpha: float, betas: list, tol: float) -> list:
+    out = []
+    for beta in betas:
+        try:
+            out.append(_eta_partial_certified(ComplexPoint(alpha, beta), tol))
+        except EtaFloorError as exc:
+            out.append(exc.with_traceback(None))
+    return out
+
+
+def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked") -> list[list]:
+    """eta(alpha + i beta) on each line alpha, for each beta: out[j][k] is the
+    EvalResult eta_eval returns at alphas[j] + i betas[k], or the
+    EtaFloorError it raises.
+
+    Euler and Chebyshev points run in blocks of at most BLOCK_POINTS betas,
+    every line of a block sharing its phases, with the bits of one-point
+    calls; "partial" runs point by point.
+    """
+    betas = list(betas)
+    out: list[list] = []
+    shared = []  # the lines that go through _eval_block
+    for alpha in alphas:
+        error = _domain_error(alpha, tol, engine)
+        if error is not None:
+            out.append([error] * len(betas))
+        elif engine == "partial":
+            out.append(_partial_line(alpha, betas, tol))
+        else:
+            shared.append(len(out))
+            out.append([])
+    for start in range(0, len(betas) if shared else 0, BLOCK_POINTS):
+        block = betas[start : start + BLOCK_POINTS]
+        results = _eval_block([alphas[j] for j in shared], block, tol, engine)
+        for i, j in enumerate(shared):
+            out[j] += results[i * len(block) : (i + 1) * len(block)]
     return out
 
 
 def eta_line(alpha: float, betas, tol: float, engine: str = "checked") -> list:
     """eta(alpha + i beta) for each beta, in order: the EvalResult eta_eval
-    returns there, or the EtaFloorError it raises.
-
-    Euler and Chebyshev points run in blocks of at most BLOCK_POINTS points with
-    the bits of one-point calls; "partial" runs point by point.
-    """
-    betas = list(betas)
-    error = _domain_error(alpha, tol, engine)
-    if error is not None:
-        return [error] * len(betas)
-    if engine == "partial":
-        out = []
-        for beta in betas:
-            try:
-                out.append(_eta_partial_certified(ComplexPoint(alpha, beta), tol))
-            except EtaFloorError as exc:
-                out.append(exc.with_traceback(None))
-        return out
-    return [result for start in range(0, len(betas), BLOCK_POINTS)
-            for result in _eval_block(alpha, betas[start : start + BLOCK_POINTS], tol, engine)]
+    returns there, or the EtaFloorError it raises (eta_lines on one line)."""
+    return eta_lines((alpha,), betas, tol, engine)[0]
 
 
 def eta_eval(s: PointLike, tol: float, engine: str = "checked") -> EvalResult:

@@ -39,7 +39,9 @@ from .eta import (
     eta_accel,
     eta_eval,
     eta_euler,
+    _reserve_logs,
     eta_line,
+    eta_lines,
 )
 from .exceptions import (
     CrossCheckError,
@@ -218,35 +220,41 @@ def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _grid_chunk(args: tuple) -> list:
-    """row(p, eta(p)) at p = alpha + i(lo + k*step) for k in k0..k1-1, one
-    eta_line block at a time, so only one block's results are held at once;
-    the EtaFloorError stands where a point failed, so it crosses a process
-    pool as a value.  `row` must be a module-level function."""
-    row, alpha, lo, step, k0, k1, tol, engine = args
-    out = []
+def _grid_chunk(args: tuple) -> list[list]:
+    """Per line alpha, row(p, eta(p)) at p = alpha + i(lo + k*step) for k in
+    k0..k1-1.  Every line goes through one eta_lines call per block of grid
+    indices, so the lines share each block's phases and only one block's
+    results are held at once.  The EtaFloorError stands where a point failed,
+    so it crosses a process pool as a value.  `row` must be a module-level
+    function."""
+    row, alphas, lo, step, k0, k1, tol, engine = args
+    out: list[list] = [[] for _ in alphas]
     for b0 in range(k0, k1, BLOCK_POINTS):
-        points = [ComplexPoint(alpha, lo + k * step) for k in range(b0, min(b0 + BLOCK_POINTS, k1))]
-        for p, res in zip(points, eta_line(alpha, [p.beta for p in points], tol, engine)):
-            out.append(res if isinstance(res, EtaFloorError) else row(p, res))
+        betas = [lo + k * step for k in range(b0, min(b0 + BLOCK_POINTS, k1))]
+        for alpha, rows, results in zip(alphas, out, eta_lines(alphas, betas, tol, engine)):
+            for beta, res in zip(betas, results):
+                rows.append(res if isinstance(res, EtaFloorError)
+                            else row(ComplexPoint(alpha, beta), res))
     return out
 
 
 def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float, count: int,
                   workers: int, tol: float, engine: str) -> list[list]:
-    """_grid_chunk over grid indices 0..count-1 of each line alpha, in contiguous
-    chunks, one per worker; every chunk of every line goes through one process
-    pool, and each line's rows come back merged in index order."""
+    """_grid_chunk over grid indices 0..count-1 of every line alpha: the indices
+    are cut into workers x len(alphas) contiguous chunks, each chunk evaluates
+    every line, and all chunks go through one process pool (a pool task holds
+    as many rows as one line's chunk per worker would).  Each line's rows
+    come back merged in index order."""
     workers = _resolve_workers(workers)
-    chunks = _index_chunks(count, workers)
-    arg_sets = [(row, alpha, lo, step, k0, k1, tol, engine) for alpha in alphas for k0, k1 in chunks]
-    if len(chunks) <= 1:
+    chunks = _index_chunks(count, workers * len(alphas))
+    arg_sets = [(row, tuple(alphas), lo, step, k0, k1, tol, engine) for k0, k1 in chunks]
+    if min(workers, count) <= 1:
         results = list(map(_grid_chunk, arg_sets))
     else:
+        _reserve_logs(max(abs(lo), abs(lo + (count - 1) * step)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_chunk, arg_sets))
-    return [[value for chunk in results[j : j + len(chunks)] for value in chunk]
-            for j in range(0, len(results), len(chunks))]
+    return [[value for chunk in results for value in chunk[j]] for j in range(len(alphas))]
 
 
 # ----------------------------------------------------------------------------

@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 from etafloor.eta import (
     ComplexPoint,
     _log_abs_gamma,
+    _log_range,
+    _magnitudes,
+    _phases,
+    _power_row,
+    _powers,
     accel_stages_for,
     as_point,
     conversion_factor,
@@ -20,6 +25,7 @@ from etafloor.eta import (
     eta_euler,
     eta_eval,
     eta_line,
+    eta_lines,
     eta_partial_sum,
     factor_zero,
     partial_sum_bracket,
@@ -315,6 +321,90 @@ class TestEtaLine:
         with pytest.raises(DomainError) as info:
             eta_eval(ComplexPoint(alpha, 1.0), tol, engine)
         assert str(info.value) == str(line[0]) == str(line[1])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestPowerBuilder:
+    """n^(-s) as magnitude times phase has every bit of exp(-s ln n), the
+    complex exp the engines were defined with (glibc's cexp computes
+    exp(x) cos y + i exp(x) sin y).  A numpy whose float64 cos or sin is not
+    the libm routine fails here instead of moving report bytes."""
+
+    ALPHAS = (0.02, 0.5, 0.75, 3.0)
+    BETAS = (0.0, -0.0, 14.134725, -14.134725, 2000.5, 7005.0629)
+
+    @staticmethod
+    def _reference(alpha, betas, lnn):
+        s = np.array([complex(alpha, beta) for beta in betas])
+        return np.exp(np.multiply.outer(-s, lnn))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_rows_match_complex_exp_bit_for_bit(self, alpha):
+        lnn = _log_range(4096)
+        for beta in self.BETAS:
+            assert (_bits(_power_row(alpha, beta, lnn)) ==
+                    _bits(self._reference(alpha, [beta], lnn))).all(), beta
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_shared_phases_match_complex_exp_bit_for_bit(self, alpha):
+        # one phase matrix for every row, read over fewer columns than it has
+        lnn = _log_range(4096)
+        phases = _phases(self.BETAS, lnn)
+        got = _powers(_magnitudes(alpha, lnn), (phases[0][:, :3000], phases[1][:, :3000]))
+        assert got.shape == (len(self.BETAS), 3000)
+        assert (_bits(got) == _bits(self._reference(alpha, self.BETAS, lnn[:3000]))).all()
+
+    @pytest.mark.parametrize("s, n_terms", [(2.0, 1000), (complex(0.5, 14.134725), 4096),
+                                            (complex(0.75, -300.0), 5000)])
+    def test_partial_sum_keeps_its_bits(self, s, n_terms):
+        lnn = np.log(np.arange(1, n_terms + 1, dtype=np.float64))
+        signs = np.ones(n_terms)
+        signs[1::2] = -1.0
+        expected = complex(np.sum(signs * np.exp(-complex(s) * lnn)))
+        assert eta_partial_sum(s, n_terms) == expected
+
+
+def _outcomes(results: list) -> list:
+    return [(type(res).__name__, str(res)) if isinstance(res, Exception) else res
+            for res in results]
+
+
+class TestEtaLines:
+    """Several lines evaluated together equal one eta_line call per line."""
+
+    @pytest.mark.parametrize("engine", ["partial", "euler", "accel", "checked"])
+    @pytest.mark.parametrize("alphas, betas", [
+        # many Euler (head, m) and Chebyshev n runs; lines need different widths
+        ((0.05, 0.55, 0.75, 1.5, 3.0), [-40.0 + 2.37 * k for k in range(140)]),
+        # one row per sub-block near beta 2000
+        ((0.55, 0.65, 0.75, 0.85, 0.95), [1995.0 + 0.01 * k for k in range(6)]),
+        # a line where most points fail, beside lines that certify
+        ((0.05, 0.6, 0.9), [990.0 + 0.5 * k for k in range(30)]),
+        # the real axis, where the partial engine certifies
+        ((0.5, 2.0), [0.0, 0.25]),
+    ], ids=["low", "high", "failing", "real-axis"])
+    def test_equal_one_line_at_a_time(self, alphas, betas, engine):
+        got = eta_lines(alphas, betas, 1e-9, engine)
+        assert len(got) == len(alphas)
+        assert ([_outcomes(line) for line in got] ==
+                [_outcomes(eta_line(alpha, betas, 1e-9, engine)) for alpha in alphas])
+
+    def test_failing_line_mostly_fails(self):
+        line = eta_lines((0.05, 0.6), [990.0 + 0.5 * k for k in range(30)], 1e-9)[0]
+        failed = [res for res in line if isinstance(res, NonConvergenceError)]
+        assert len(failed) > len(line) // 2
+
+    def test_domain_error_lines_beside_valid_ones(self):
+        lines = eta_lines((0.0, 0.7), [1.0, 2.0], 1e-9)
+        assert [type(res) for res in lines[0]] == [DomainError, DomainError]
+        assert lines[1] == eta_line(0.7, [1.0, 2.0], 1e-9)
+
+    def test_no_lines_and_no_points(self):
+        assert eta_lines((), [1.0], 1e-9) == []
+        assert eta_lines((0.5, 0.6), [], 1e-9) == [[], []]
 
 
 class TestConjugate:

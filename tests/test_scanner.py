@@ -16,6 +16,7 @@ from etafloor.scanner import (
     SCAN_REFINE_XTOL,
     ZERO_GRID_STEP,
     ZERO_REFINE_XTOL,
+    ScanFailure,
     _grid_count,
     _local_minima,
     _refine_basins,
@@ -229,13 +230,14 @@ class TestScanLine:
 
         clean = scan_line(0.75, 160.0, 166.0, 0.01)
         bad_beta = 160.0 + 50 * 0.01
-        real_line = scanner_mod.eta_line
+        real_lines = scanner_mod.eta_lines
 
-        def failing(alpha, betas, tol, engine="checked"):
-            return [CrossCheckError("injected", gap=1.0, budget=0.0) if beta == bad_beta else res
-                    for beta, res in zip(betas, real_line(alpha, betas, tol, engine))]
+        def failing(alphas, betas, tol, engine="checked"):
+            return [[CrossCheckError("injected", gap=1.0, budget=0.0) if beta == bad_beta else res
+                     for beta, res in zip(betas, line)]
+                    for line in real_lines(alphas, betas, tol, engine)]
 
-        monkeypatch.setattr(scanner_mod, "eta_line", failing)
+        monkeypatch.setattr(scanner_mod, "eta_lines", failing)
         report = scan_line(0.75, 160.0, 166.0, 0.01)
         assert [f.s.beta for f in report.failures] == [bad_beta]
         # the clean line has refined basin rows besides its 601 grid rows
@@ -315,6 +317,35 @@ class TestScanGrid:
         grid = scan_grid((0.55, 0.95), (2000.0, 2001.0), 0.1, 0.01, workers=workers)
         assert len(alphas) == 5
         assert grid.lines == tuple(scan_line(a, 2000.0, 2001.0, 0.01) for a in alphas)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_injected_failure_stays_on_its_line(self, monkeypatch, workers):
+        import etafloor.scanner as scanner_mod
+
+        args = ((0.6, 0.8), (20.0, 22.0), 0.1, 0.01)
+        clean = scan_grid(*args, workers=workers)
+        bad_alpha, bad_beta = clean.lines[1].alpha, 20.0 + 50 * 0.01
+        real_lines = scanner_mod.eta_lines
+
+        def failing(alphas, betas, tol, engine="checked"):
+            return [[CrossCheckError("injected", gap=1.0, budget=0.0)
+                     if (alpha, beta) == (bad_alpha, bad_beta) else res
+                     for beta, res in zip(betas, line)]
+                    for alpha, line in zip(alphas, real_lines(alphas, betas, tol, engine))]
+
+        monkeypatch.setattr(scanner_mod, "eta_lines", failing)
+        grid = scan_grid(*args, workers=workers)
+        assert len(grid.lines) == 3
+        assert grid.lines[0] == clean.lines[0]
+        assert grid.lines[2] == clean.lines[2]
+        (failure,) = grid.lines[1].failures
+        assert failure == ScanFailure(ComplexPoint(bad_alpha, bad_beta), "CrossCheckError",
+                                      "injected")
+        assert grid.lines[1].samples == tuple(smp for smp in clean.lines[1].samples
+                                              if smp.s.beta != bad_beta)
+        assert grid.lines[1].violations == clean.lines[1].violations
+        assert ((grid.lines[1].min_eta_abs, grid.lines[1].argmin_beta) ==
+                (clean.lines[1].min_eta_abs, clean.lines[1].argmin_beta))
 
     def test_pooled_grid_bytes_equal_serial(self):
         from etafloor.reporting import serialize_report
