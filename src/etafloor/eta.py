@@ -662,7 +662,9 @@ def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked
         else:
             shared.append(len(out))
             out.append([])
-    for start in range(0, len(betas) if shared else 0, BLOCK_POINTS):
+    if not shared:
+        return out
+    for start in range(0, len(betas), BLOCK_POINTS):
         block = betas[start : start + BLOCK_POINTS]
         results = _eval_block([alphas[j] for j in shared], block, tol, engine)
         for i, j in enumerate(shared):

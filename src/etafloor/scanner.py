@@ -34,12 +34,12 @@ from .eta import (
     BLOCK_POINTS,
     ComplexPoint,
     EvalResult,
+    _reserve_logs,
     accel_stages_for,
     as_point,
     eta_accel,
     eta_eval,
     eta_euler,
-    _reserve_logs,
     eta_line,
     eta_lines,
 )

@@ -347,6 +347,12 @@ class TestScanGrid:
         assert ((grid.lines[1].min_eta_abs, grid.lines[1].argmin_beta) ==
                 (clean.lines[1].min_eta_abs, clean.lines[1].argmin_beta))
 
+    def test_log_table_grows_before_the_pool_starts(self, monkeypatch):
+        monkeypatch.setattr(eta_mod, "_logs", eta_mod._logs[:4096].copy())
+        scan_grid((0.9, 0.9), (5000.0, 5000.02), 0.1, 0.01, workers=2)
+        # the widest first Euler attempt at beta 5000.02: head 5001 plus 96 tail terms
+        assert eta_mod._logs.size >= 5001 + 96
+
     def test_pooled_grid_bytes_equal_serial(self):
         from etafloor.reporting import serialize_report
 
