@@ -320,6 +320,17 @@ class TestPcaCommand:
         assert header.startswith("alpha,beta,theta,tail_re")
         assert row.endswith("W1")
 
+    def test_failing_point_writes_no_report(self, tmp_path, capsys):
+        target = tmp_path / "pca.csv"
+        argv = ["pca", "--alpha", "0.05", "--beta", "0:1000", "--step", "100",
+                "--output", str(target)]
+        assert main(argv) == EXIT_CROSS_CHECK
+        # beta 400 is the lowest grid point the checked engine cannot certify
+        assert capsys.readouterr().err == (
+            "etafloor: numerical failure: euler engine cannot certify tol=1e-10 at "
+            "s=0.05+400j (best estimate 6.99012e-10)\n")
+        assert not target.exists()
+
     def test_line_mode(self, tmp_path, capsys):
         target = tmp_path / "pca.json"
         code = main(

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from etafloor.eta import (
+    MAX_ACCEL_STAGES,
     ComplexPoint,
+    EvalResult,
     _log_abs_gamma,
     _log_range,
     _magnitudes,
@@ -122,6 +124,11 @@ class TestAccelEngine:
         res = eta_accel(1.0, 30)
         assert abs(res.value - LN2) <= 1e-12
         assert res.terms_used == 30
+
+    def test_stage_cap(self):
+        with pytest.raises(NonConvergenceError) as info:
+            eta_accel(0.5 + 1j, MAX_ACCEL_STAGES + 1)
+        assert str(info.value) == "n_stages 4097 exceeds cap 4096"
 
     def test_real_half(self):
         r1 = eta_accel(0.5, 40)
@@ -311,6 +318,13 @@ class TestEtaLine:
         line = eta_line(2.0, [0.0, 1.0], 1e-6, "partial")
         assert line[0] == eta_eval(2.0, 1e-6, "partial")
         assert isinstance(line[1], NonConvergenceError)
+
+    def test_partial_engine_failure_is_a_value_between_results(self):
+        first, error, last = eta_line(2.0, [0.0, 1.0, 0.0], 1e-12, "partial")
+        assert isinstance(first, EvalResult) and last == first
+        assert isinstance(error, NonConvergenceError)
+        assert str(error) == "partial engine certifies a tolerance only on the real axis (beta = 0)"
+        assert error.__traceback__ is None
 
     @pytest.mark.parametrize("alpha, tol, engine", [(0.0, 1e-9, "checked"),
                                                      (0.5, 0.0, "checked"),

@@ -139,6 +139,21 @@ class TestAtomicWrite:
         # no temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch, capsys):
+        import etafloor.reporting as reporting_mod
+        from etafloor.cli import EXIT_IO, main
+
+        def failing_replace(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(reporting_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected rename failure"):
+            write_report_bytes(b"data", str(tmp_path / "report.csv"))
+        assert list(tmp_path.iterdir()) == []
+        assert main(["eval", "--s", "2", "--output", str(tmp_path / "eval.json")]) == EXIT_IO
+        assert capsys.readouterr().err == "etafloor: i/o error: injected rename failure\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_overwrite_is_atomic_replace(self, tmp_path, line_report):
         target = tmp_path / "report.json"
         write_report_bytes(b"old", str(target))

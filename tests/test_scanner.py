@@ -347,6 +347,14 @@ class TestScanGrid:
         assert ((grid.lines[1].min_eta_abs, grid.lines[1].argmin_beta) ==
                 (clean.lines[1].min_eta_abs, clean.lines[1].argmin_beta))
 
+    def test_pool_children_grow_their_own_log_table(self, monkeypatch):
+        from etafloor.reporting import serialize_report
+
+        # beta 5000 needs ln n past the 4096 entries the table starts with
+        monkeypatch.setattr(eta_mod, "_logs", eta_mod._logs[:4096].copy())
+        grids = [scan_grid((0.9, 0.9), (5000.0, 5000.02), 0.1, 0.01, workers=w) for w in (2, 1)]
+        assert serialize_report(grids[0], "csv") == serialize_report(grids[1], "csv")
+
     def test_log_table_grows_before_the_pool_starts(self, monkeypatch):
         monkeypatch.setattr(eta_mod, "_logs", eta_mod._logs[:4096].copy())
         scan_grid((0.9, 0.9), (5000.0, 5000.02), 0.1, 0.01, workers=2)
@@ -405,6 +413,14 @@ class TestZeros:
     def test_survey_raises_first_uncertified_point(self, workers):
         with pytest.raises(NonConvergenceError, match=r"s=0\.5\+4400j"):
             survey_zeros(4400.0, 4400.5, workers=workers)
+
+    def test_engine_disagreement_at_a_zero_is_a_cross_check_error(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        monkeypatch.setattr(scanner_mod, "_engine_gap_at", lambda t, eval_tol: 1.0)
+        with pytest.raises(CrossCheckError) as info:
+            locate_zero(14.0, 14.3, 1e-8)
+        assert (info.value.gap, info.value.budget) == (1.0, scanner_mod.ZERO_ENGINE_GAP_LIMIT)
 
     def test_survey_raises_the_lowest_failed_basin(self, monkeypatch):
         # the basin at 21.02 fails at its first probe, the one at 14.13 only
