@@ -32,7 +32,7 @@ from .reporting import (
     serialize_report,
     write_report_bytes,
 )
-from .scanner import _grid_count, scan_grid, scan_line, survey_zeros, zero_geometry
+from .scanner import _grid_count, _raise_first_error, scan_grid, scan_line, survey_zeros, zero_geometry
 
 __all__ = ["UsageError", "parse_args", "run", "main"]
 
@@ -247,9 +247,7 @@ def _run_pca(cfg: argparse.Namespace) -> int:
         count = _grid_count(lo, hi, step)
         points = [ComplexPoint(alpha, lo + i * step) for i in range(count)]
     results = eta_line(points[0].alpha, [p.beta for p in points], cfg.tol, cfg.engine)
-    for res in results:
-        if isinstance(res, EtaFloorError):
-            raise res
+    _raise_first_error(results)
     rows = tuple(decompose_from_eta(p, res.value, cfg.theta) for p, res in zip(points, results))
     _emit(PcaReport(tol=cfg.tol, rows=rows), cfg)
     return EXIT_OK

@@ -90,8 +90,8 @@ BLOCK_POINTS = 128  # most points eta_line evaluates together
 BLOCK_ELEMENTS = 4096  # most entries of one n^(-s) matrix (one row always fits)
 ZETA_EXCLUSION = 1e-6  # least |1 - 2^(1-s)| zeta_from_eta divides by
 
-# read-only cache of ln n, n = 1..size; replaced, never written, when it grows;
-# the scanner grows it before its process pool starts (_reserve_logs)
+# read-only cache of ln n, n = 1..size, one per process; replaced, never
+# written, when it grows
 _LOG_TABLE_LIMIT = 1_000_000
 _logs = np.log(np.arange(1, 4097, dtype=np.float64))
 _JS = np.arange(1.0, 97.0)  # Euler tail-length model: corrections j = 1..96
@@ -161,13 +161,6 @@ def _log_range(n: int) -> np.ndarray:
 def _euler_head(beta: float) -> int:
     """Terms the Euler engine sums directly, before transforming the tail."""
     return max(32, int(math.ceil(abs(beta))))
-
-
-def _reserve_logs(beta_max: float) -> None:
-    """Grow the ln n table to the widest first Euler attempt at |beta| <= beta_max
-    (the Chebyshev stage cap is already inside it), so that processes started
-    afterwards share the table instead of each growing its own."""
-    _log_range(_euler_head(beta_max) + int(_JS[-1]))
 
 
 def _alternating_signs(n: int) -> np.ndarray:
@@ -430,15 +423,15 @@ def crvz_reference_sum(terms: np.ndarray) -> float | np.ndarray:
 # dispatch, conjugate, conversion factor
 # ----------------------------------------------------------------------------
 
-def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult:
+def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult | NonConvergenceError:
     if p.beta != 0.0:
-        raise NonConvergenceError(
+        return NonConvergenceError(
             "partial engine certifies a tolerance only on the real axis (beta = 0)"
         )
     # remainder after N terms is at most (N+1)^(-alpha); bracket midpoint halves it
     log_needed = math.log(2.0 / tol) / p.alpha
     if log_needed > math.log(MAX_PARTIAL_TERMS):
-        raise NonConvergenceError(
+        return NonConvergenceError(
             f"partial summation cannot certify tol={tol:g} at alpha={p.alpha} "
             f"within {MAX_PARTIAL_TERMS} terms"
         )
@@ -447,7 +440,7 @@ def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult:
     lo, hi = partial_sum_bracket(p.alpha, n)
     est = 0.5 * (hi - lo) + EPS * 2.0 * n ** max(0.0, 1.0 - p.alpha)
     if est > tol:
-        raise NonConvergenceError(
+        return NonConvergenceError(
             f"partial summation cannot certify tol={tol:g} at alpha={p.alpha} "
             f"within {MAX_PARTIAL_TERMS} terms"
         )
@@ -459,6 +452,8 @@ def _domain_error(alpha, tol: float, engine: str) -> DomainError | None:
         return DomainError(f"series evaluation requires Re(s) > 0, got alpha={alpha}")
     if not (tol > 0.0):
         return DomainError("tol must be > 0")
+    if math.inf in (alpha, tol):
+        return DomainError(f"alpha and tol must be finite, got alpha={alpha}, tol={tol}")
     if engine not in ENGINES:
         return DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     return None
@@ -525,7 +520,7 @@ def _sub_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _checked(z: complex, euler: tuple, accel: tuple, tol: float) -> EvalResult | EtaFloorError:
+def _checked(z: complex, euler: tuple, accel: tuple) -> EvalResult | CrossCheckError:
     """The cross-checked result at z from the (value, estimate, terms) of the
     Euler and the Chebyshev engine: the one with the smaller estimate."""
     gap = abs(euler[0] - accel[0])
@@ -536,9 +531,8 @@ def _checked(z: complex, euler: tuple, accel: tuple, tol: float) -> EvalResult |
             gap=gap,
             budget=budget,
         )
+    # the Euler estimate is within tol here, so the smaller one is too
     value, est, _, method = (*euler, "euler") if euler[1] <= accel[1] else (*accel, "accel")
-    if est > tol:
-        return NonConvergenceError(f"checked evaluation cannot certify tol={tol:g} at s={z:g}")
     return EvalResult(value, est, method, euler[2] + accel[2])
 
 
@@ -598,7 +592,7 @@ class _BlockLine:
                 if out[k] is not None:
                     continue
                 if engine == "checked":
-                    out[k] = _checked(zs[k], self.euler[k], (value, est, n), tol)
+                    out[k] = _checked(zs[k], self.euler[k], (value, est, n))
                 elif est > tol:
                     out[k] = NonConvergenceError(
                         f"accel engine cannot certify tol={tol:g} at s={zs[k]:g} "
@@ -631,16 +625,6 @@ def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -
     return [result for line in lines for result in line.out]
 
 
-def _partial_line(alpha: float, betas: list, tol: float) -> list:
-    out = []
-    for beta in betas:
-        try:
-            out.append(_eta_partial_certified(ComplexPoint(alpha, beta), tol))
-        except EtaFloorError as exc:
-            out.append(exc.with_traceback(None))
-    return out
-
-
 def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked") -> list[list]:
     """eta(alpha + i beta) on each line alpha, for each beta: out[j][k] is the
     EvalResult eta_eval returns at alphas[j] + i betas[k], or the
@@ -651,6 +635,10 @@ def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked
     calls; "partial" runs point by point.
     """
     betas = list(betas)
+    finite = [beta for beta in betas if math.isfinite(beta)]
+    if len(finite) < len(betas):  # a non-finite beta fails at its own point only
+        return [[next(line) if math.isfinite(beta) else DomainError(f"beta={beta} is not finite")
+                 for beta in betas] for line in map(iter, eta_lines(alphas, finite, tol, engine))]
     out: list[list] = []
     shared = []  # the lines that go through _eval_block
     for alpha in alphas:
@@ -658,7 +646,7 @@ def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked
         if error is not None:
             out.append([error] * len(betas))
         elif engine == "partial":
-            out.append(_partial_line(alpha, betas, tol))
+            out.append([_eta_partial_certified(ComplexPoint(alpha, beta), tol) for beta in betas])
         else:
             shared.append(len(out))
             out.append([])

@@ -24,7 +24,6 @@ below tolerance and the two accelerated engines agree at it.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple, Sequence
@@ -34,7 +33,6 @@ from .eta import (
     BLOCK_POINTS,
     ComplexPoint,
     EvalResult,
-    _reserve_logs,
     accel_stages_for,
     as_point,
     eta_accel,
@@ -70,7 +68,6 @@ __all__ = [
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-WORKER_ENV_VAR = "ETAFLOOR_MAX_WORKERS"
 DEFAULT_SCAN_TOL = 1e-9
 SCAN_REFINE_XTOL = 1e-6
 DEFAULT_ZERO_TOL = 1e-8
@@ -197,17 +194,6 @@ def _abs_value(p: ComplexPoint, res: EvalResult) -> float:
 # deterministic parallel evaluation
 # ----------------------------------------------------------------------------
 
-def _resolve_workers(workers: int) -> int:
-    workers = max(1, int(workers))
-    cap = os.environ.get(WORKER_ENV_VAR)
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise DomainError(f"{WORKER_ENV_VAR} must be an integer, got {cap!r}")
-    return workers
-
-
 def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
     workers = min(workers, count) or 1
     size, extra = divmod(count, workers)
@@ -245,13 +231,12 @@ def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float
     every line, and all chunks go through one process pool (a pool task holds
     as many rows as one line's chunk per worker would).  Each line's rows
     come back merged in index order."""
-    workers = _resolve_workers(workers)
+    workers = max(1, int(workers))
     chunks = _index_chunks(count, workers * len(alphas))
     arg_sets = [(row, tuple(alphas), lo, step, k0, k1, tol, engine) for k0, k1 in chunks]
     if min(workers, count) <= 1:
         results = list(map(_grid_chunk, arg_sets))
     else:
-        _reserve_logs(max(abs(lo), abs(lo + (count - 1) * step)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_chunk, arg_sets))
     return [[value for chunk in results for value in chunk[j]] for j in range(len(alphas))]
@@ -380,6 +365,8 @@ def _refine_basins(
 # ----------------------------------------------------------------------------
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
+    if not all(map(math.isfinite, (lo, hi, step, (hi - lo) / step))):
+        raise DomainError(f"grid {lo}:{hi} with step {step} has no finite point count")
     return int(math.floor((hi - lo) / step + 1e-9)) + 1
 
 
@@ -389,6 +376,8 @@ def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step:
     sampled through one process pool, then each line is refined in turn."""
     if not (alphas[0] > 0.0):
         raise DomainError("alpha must be > 0")
+    if not math.isfinite(alphas[0]):
+        raise DomainError("alpha must be finite")
     if beta_max < beta_min:
         raise DomainError("beta range is empty (beta_max < beta_min)")
     if not (step > 0.0):
@@ -412,15 +401,15 @@ def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, to
 
     # refine each basin whose grid point and both grid neighbours were sampled
     eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
-    beta_set = {smp.s.beta for smp in samples}
     refined: list[BoundSample] = []
     for i, x, x_abs, res in _refine_basins(eta_abs_values, alpha, beta_min, step,
                                            SCAN_REFINE_XTOL, eval_tol, engine):
         # a failed probe ends its basin, which keeps its grid sample
         if isinstance(res, EtaFloorError):
             failures.append(ScanFailure(ComplexPoint(alpha, x), type(res).__name__, str(res)))
-        # keep only genuine improvements over the basin's grid sample
-        elif x not in beta_set and x_abs < eta_abs_values[i]:
+        # keep only genuine improvements over the basin's grid sample (a probe that
+        # lands on a grid beta gets its bits, and no grid sample in the bracket is lower)
+        elif x_abs < eta_abs_values[i]:
             refined.append(_bound_sample(ComplexPoint(alpha, x), res))
 
     merged = sorted(samples + refined, key=lambda smp: smp.s.beta)

@@ -169,6 +169,29 @@ class TestUsageErrors:
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=nan"),
         (["eval", "--s", "1+0i", "--tol", "-Inf"], 64, "usage error: --tol must be > 0"),
         (["eval", "--s", "-inform"], 64, "usage error: argument --s: expected one argument"),
+        # an infinite or NaN number is refused before any arithmetic
+        (["scan", "--alpha", "0.75", "--beta", "0:inf"], 64,
+         "invalid parameter: grid 0.0:inf with step 0.01 has no finite point count"),
+        (["scan", "--alpha", "0.75", "--beta", "nan:1"], 64,
+         "invalid parameter: grid nan:1.0 with step 0.01 has no finite point count"),
+        (["scan", "--alpha", "0.75", "--beta", "0:1", "--step", "inf"], 64,
+         "invalid parameter: grid 0.0:1.0 with step inf has no finite point count"),
+        (["scan", "--alpha", "0.5:inf", "--beta", "0:1"], 64,
+         "invalid parameter: grid 0.5:inf with step 0.05 has no finite point count"),
+        (["scan", "--alpha", "inf", "--beta", "0:1"], 64, "invalid parameter: alpha must be finite"),
+        (["zeros", "--t", "0:inf"], 64,
+         "invalid parameter: grid 0.0:inf with step 0.01 has no finite point count"),
+        (["zeros", "--t", "0:1", "--tol", "inf"], 64,
+         "invalid parameter: alpha and tol must be finite, got alpha=0.5, tol=inf"),
+        (["pca", "--alpha", "0.5", "--beta", "0:inf"], 64,
+         "invalid parameter: grid 0.0:inf with step 1.0 has no finite point count"),
+        (["pca", "--s", "inf"], 64,
+         "invalid parameter: alpha and tol must be finite, got alpha=inf, tol=1e-10"),
+        (["eval", "--s", "inf"], 64,
+         "invalid parameter: alpha and tol must be finite, got alpha=inf, tol=1e-12"),
+        (["eval", "--s", "1+infi"], 64, "invalid parameter: beta=inf is not finite"),
+        (["scan", "--alpha", "0.5:0.6", "--alpha-step", "inf", "--beta", "0:1"], 64,
+         "invalid parameter: grid 0.5:0.6 with step inf has no finite point count"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

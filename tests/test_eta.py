@@ -214,6 +214,11 @@ class TestEtaEval:
         with pytest.raises(DomainError):
             eta_eval(1.5, 1e-9, "nonsense")
 
+    @pytest.mark.parametrize("s", [complex(math.inf, 0.0), complex(1.0, math.inf)])
+    def test_non_finite_point_is_a_domain_error(self, s):
+        with pytest.raises(DomainError):
+            eta_eval(s, 1e-9)
+
     def test_partial_engine_off_axis_refuses(self):
         with pytest.raises(NonConvergenceError):
             eta_eval(ComplexPoint(2.0, 1.0), 1e-6, "partial")
@@ -318,6 +323,17 @@ class TestEtaLine:
         line = eta_line(2.0, [0.0, 1.0], 1e-6, "partial")
         assert line[0] == eta_eval(2.0, 1e-6, "partial")
         assert isinstance(line[1], NonConvergenceError)
+
+    def test_non_finite_beta_fails_at_its_point_only(self):
+        def outcomes(line):
+            return [(type(res).__name__, str(res)) if isinstance(res, Exception) else res
+                    for res in line]
+
+        for engine in ("partial", "euler", "accel", "checked"):
+            line = outcomes(eta_line(1.5, [0.0, math.inf, 2.0, -math.nan], 1e-9, engine))
+            assert line[0::2] == outcomes(eta_line(1.5, [0.0, 2.0], 1e-9, engine))
+            assert line[1::2] == [("DomainError", "beta=inf is not finite"),
+                                  ("DomainError", "beta=nan is not finite")]
 
     def test_partial_engine_failure_is_a_value_between_results(self):
         first, error, last = eta_line(2.0, [0.0, 1.0, 0.0], 1e-12, "partial")

@@ -355,12 +355,6 @@ class TestScanGrid:
         grids = [scan_grid((0.9, 0.9), (5000.0, 5000.02), 0.1, 0.01, workers=w) for w in (2, 1)]
         assert serialize_report(grids[0], "csv") == serialize_report(grids[1], "csv")
 
-    def test_log_table_grows_before_the_pool_starts(self, monkeypatch):
-        monkeypatch.setattr(eta_mod, "_logs", eta_mod._logs[:4096].copy())
-        scan_grid((0.9, 0.9), (5000.0, 5000.02), 0.1, 0.01, workers=2)
-        # the widest first Euler attempt at beta 5000.02: head 5001 plus 96 tail terms
-        assert eta_mod._logs.size >= 5001 + 96
-
     def test_pooled_grid_bytes_equal_serial(self):
         from etafloor.reporting import serialize_report
 
