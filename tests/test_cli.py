@@ -2,6 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import json
+import math
 import subprocess
 import sys
 
@@ -33,9 +34,19 @@ class TestParsers:
         assert parse_complex_literal("-2.5i") == ComplexPoint(0.0, -2.5)
         assert parse_complex_literal("1e-2+4e1i") == ComplexPoint(0.01, 40.0)
         assert parse_complex_literal("1+i") == ComplexPoint(1.0, 1.0)
+        assert parse_complex_literal("i") == ComplexPoint(0.0, 1.0)
+        assert parse_complex_literal("-i") == ComplexPoint(0.0, -1.0)
+        assert parse_complex_literal("1-i") == ComplexPoint(1.0, -1.0)
+        assert parse_complex_literal("infi") == ComplexPoint(0.0, math.inf)
+        assert parse_complex_literal("1e+5i") == ComplexPoint(0.0, 1e5)
+        assert parse_complex_literal("1_0i") == ComplexPoint(0.0, 10.0)
+        point = parse_complex_literal("-0i")  # -0.0 == 0.0, so compare the signs
+        assert math.copysign(1.0, point.alpha) == 1.0
+        assert math.copysign(1.0, point.beta) == -1.0
 
     def test_bad_literals(self):
-        for text in ("", "abc", "1+2j+3i", "1..2"):
+        # complex()'s own spellings are not literals here
+        for text in ("", "abc", "1+2j+3i", "1..2", "1j", "1+2j", "(1+2i)", "(5)"):
             with pytest.raises(UsageError):
                 parse_complex_literal(text)
 

@@ -81,6 +81,33 @@ class TestPartialSum:
         direct = sum((-1) ** (n + 1) * n ** (-s) for n in range(2**20 + 1, 2**20 + 6))
         assert abs(eta_partial_sum(s, 2**20 + 5) - (head + direct)) <= 1e-15
 
+    @pytest.mark.parametrize("s, n_terms, bits", [
+        (1.5 + 7.5j, 2**20 + 3, ("0x1.bc2a27f1daa3dp-1", "-0x1.11a71d03efc1cp-1")),
+        (2.5, 4097, ("0x1.bc019fb8ccf82p-1", "0x0.0p+0")),
+        (0.3 - 300.25j, 10_000, ("-0x1.545f8b3a3509cp+1", "-0x1.11cd7b44449f6p+1")),
+    ])
+    def test_pinned_bits(self, s, n_terms, bits):
+        value = eta_partial_sum(s, n_terms)
+        assert (value.real.hex(), value.imag.hex()) == bits
+
+    @pytest.mark.parametrize("alpha, tol, bits, terms", [
+        (1.0, 1e-6, ("0x1.62e42fefa37bfp-1", "0x1.0c6f5fb000000p-22"), 2_000_002),
+        (2.5, 1e-9, ("0x1.bc019fb4cdc66p-1", "0x1.125cf40000000p-32"), 5256),
+        (3.0, 1e-15, ("0x1.cd97007680932p-1", "0x1.a000000000000p-51"), 125_994),
+    ])
+    def test_certified_partial_pinned_bits(self, alpha, tol, bits, terms):
+        res = eta_eval(alpha, tol, "partial")
+        assert (res.value.real.hex(), res.abs_error_estimate.hex()) == bits
+        assert res.value.imag == 0.0 and res.terms_used == terms
+
+    def test_certified_partial_refuses_when_the_estimate_misses_tol(self):
+        # about 171 k terms are under the term cap, but roundoff keeps the
+        # bracket's estimate above tol
+        error = eta_line(3.0, [0.0], 4e-16, "partial")[0]
+        assert isinstance(error, NonConvergenceError)
+        assert str(error) == ("partial summation cannot certify tol=4e-16 at alpha=3.0 "
+                              "within 20000000 terms")
+
     def test_bracket_contains_limit(self):
         for alpha in (0.5, 1.0, 2.0):
             lo, hi = partial_sum_bracket(alpha, 10_000)
