@@ -54,25 +54,12 @@ def parse_complex_literal(text: str) -> ComplexPoint:
     if not t:
         raise UsageError("empty complex literal")
     try:
-        if t[-1] in "iI":
-            body = t[:-1]
-            split = 0
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "eE":
-                    split = k
-                    break
-            re_part, im_part = body[:split], body[split:]
-            if im_part in ("", "+"):
-                im = 1.0
-            elif im_part == "-":
-                im = -1.0
-            else:
-                im = float(im_part)
-            re = float(re_part) if re_part else 0.0
-            return ComplexPoint(re, im)
-        return ComplexPoint(float(t), 0.0)
+        if "j" in t.lower() or "(" in t:  # complex()'s own spellings are not literals here
+            raise ValueError
+        z = complex(t[:-1] + "j" if t[-1] in "iI" else t)
     except ValueError:
         raise UsageError(f"cannot parse complex literal {text!r} (expected a+bi)") from None
+    return ComplexPoint(z.real, z.imag)
 
 
 def parse_range(text: str, name: str) -> tuple[float, float]:

@@ -187,11 +187,7 @@ def eta_partial_sum(s: PointLike, n_terms: int) -> complex:
     chunk = 1 << 20  # even, so every chunk starts at an odd n, whose term is positive
     for start in range(1, n_terms + 1, chunk):
         stop = min(start + chunk - 1, n_terms)
-        if start == 1:
-            lnn = _log_range(stop)
-        else:
-            lnn = np.log(np.arange(start, stop + 1, dtype=np.float64))
-        pows = _power_row(sc.real, sc.imag, lnn)[0]
+        pows = _power_row(sc.real, sc.imag, np.log(np.arange(start, stop + 1, dtype=np.float64)))[0]
         total += complex(np.sum(_alternating_signs(stop - start + 1) * pows))
     return total
 
@@ -430,21 +426,17 @@ def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult | NonConve
         )
     # remainder after N terms is at most (N+1)^(-alpha); bracket midpoint halves it
     log_needed = math.log(2.0 / tol) / p.alpha
-    if log_needed > math.log(MAX_PARTIAL_TERMS):
-        return NonConvergenceError(
-            f"partial summation cannot certify tol={tol:g} at alpha={p.alpha} "
-            f"within {MAX_PARTIAL_TERMS} terms"
-        )
-    n = min(max(int(math.ceil(math.exp(log_needed))) + 2, 4), MAX_PARTIAL_TERMS)
-    n -= n % 2
-    lo, hi = partial_sum_bracket(p.alpha, n)
-    est = 0.5 * (hi - lo) + EPS * 2.0 * n ** max(0.0, 1.0 - p.alpha)
-    if est > tol:
-        return NonConvergenceError(
-            f"partial summation cannot certify tol={tol:g} at alpha={p.alpha} "
-            f"within {MAX_PARTIAL_TERMS} terms"
-        )
-    return EvalResult(complex(0.5 * (lo + hi)), est, "partial", n)
+    if log_needed <= math.log(MAX_PARTIAL_TERMS):
+        n = min(max(int(math.ceil(math.exp(log_needed))) + 2, 4), MAX_PARTIAL_TERMS)
+        n -= n % 2
+        lo, hi = partial_sum_bracket(p.alpha, n)
+        est = 0.5 * (hi - lo) + EPS * 2.0 * n ** max(0.0, 1.0 - p.alpha)
+        if est <= tol:
+            return EvalResult(complex(0.5 * (lo + hi)), est, "partial", n)
+    return NonConvergenceError(
+        f"partial summation cannot certify tol={tol:g} at alpha={p.alpha} "
+        f"within {MAX_PARTIAL_TERMS} terms"
+    )
 
 
 def _domain_error(alpha, tol: float, engine: str) -> DomainError | None:
@@ -501,22 +493,6 @@ def _runs(keys: list, r0: int, r1: int) -> list[tuple]:
             runs.append((keys[lo], lo, k))
             lo = k
     runs.append((keys[lo], lo, r1))
-    return runs
-
-
-def _sub_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
-    """Consecutive (start, stop, width) runs whose width x rows stays within
-    BLOCK_ELEMENTS, width being the largest of the run's widths; one row
-    always fits."""
-    runs = []
-    r0 = 0
-    while r0 < len(widths):
-        r1, width = r0 + 1, widths[r0]
-        while r1 < len(widths) and (r1 - r0 + 1) * max(width, widths[r1]) <= BLOCK_ELEMENTS:
-            width = max(width, widths[r1])
-            r1 += 1
-        runs.append((r0, r1, width))
-        r0 = r1
     return runs
 
 
@@ -606,8 +582,9 @@ def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -
     engine "euler", "accel" or "checked": the results line after line, so
     result k of line j stands at j*len(betas) + k.
 
-    Sub-blocks are cut by the widest row any line needs, and each builds one
-    phase matrix that every line shares.  Each line forms its own n^(-s)
+    Sub-blocks are an even cut, as many rows each as fit in BLOCK_ELEMENTS at
+    the widest row any line needs, and each builds one phase matrix, as wide
+    as its own widest row, that every line shares.  Each line forms its own n^(-s)
     matrix from it and the line's magnitude row, one line at a time, and
     both engines slice that matrix.  Each run of consecutive rows with the
     same Euler (head, m), or the same Chebyshev n, is reduced row by row on
@@ -618,8 +595,10 @@ def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -
     heads = [_euler_head(beta) for beta in betas] if engine != "accel" else None
     lines = [_BlockLine(alpha, betas, heads, tol, engine) for alpha in alphas]
     widths = [max(row) for row in zip(*(line.widths for line in lines))]
-    for r0, r1, width in _sub_blocks(widths):
-        phases = _phases(betas[r0:r1], _log_range(width))
+    rows = max(1, BLOCK_ELEMENTS // max(1, max(widths)))  # a width is 0 where every engine refuses
+    for r0 in range(0, len(betas), rows):
+        r1 = min(r0 + rows, len(betas))
+        phases = _phases(betas[r0:r1], _log_range(max(widths[r0:r1])))
         for line in lines:
             line.evaluate(r0, r1, phases)
     return [result for line in lines for result in line.out]
