@@ -104,6 +104,8 @@ def second_term(s) -> complex:
 
 def w1_component(s, theta: float) -> float:
     """First component -(sqrt(2)/2^alpha) cos(beta ln 2 + theta - pi/4)."""
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got theta={theta}")
     p = as_point(s)
     return -(SQRT2 / 2.0**p.alpha) * math.cos(p.beta * LN2 + theta - math.pi / 4.0)
 
@@ -163,14 +165,12 @@ def decompose_from_eta(s, eta_value: complex, theta: float = DEFAULT_THETA) -> T
     one checked evaluation per sample.
     """
     p = as_point(s)
+    w1 = w1_component(p, theta)  # refuses a non-finite theta
     tail = complex(eta_value.conjugate() - 1.0)
     u2 = second_term(p)
     tail3 = tail - u2
-    rotation = cmath.exp(1j * theta)
-    v = rotation * tail
-    w_raw = v.real + v.imag
-    w1 = w1_component(p, theta)
-    w2 = w_raw - w1
+    v = cmath.exp(1j * theta) * tail
+    w2 = v.real + v.imag - w1
     variance1 = 2.0 * math.pi / 4.0**p.alpha
     variance2 = 2.0 * math.pi * abs(tail3) ** 2
     inner = 2.0 * math.pi * (u2 * tail3.conjugate()).real

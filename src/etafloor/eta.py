@@ -9,7 +9,8 @@ oracles for each other:
   sums a rigorous bracket; off the axis it is only an exploratory tool.
 * ``eta_euler`` — direct head of max(32, ceil|Im s|) terms followed by an Euler
   transformation of the remaining alternating tail.  The head length keeps the
-  forward-difference ratio below ~1/2 for any height.
+  forward-difference ratio below ~1/2 for any height; a point whose head would
+  exceed MAX_EULER_HEAD terms is refused.
 * ``eta_accel`` — Chebyshev-weighted summation in the style of Cohen,
   Rodriguez Villegas and Zagier ("Convergence acceleration of alternating
   series", Exp. Math. 9 (2000)): with d_n the Chebyshev polynomial T_n(3),
@@ -91,8 +92,7 @@ BLOCK_ELEMENTS = 4096  # most entries of one n^(-s) matrix (one row always fits)
 ZETA_EXCLUSION = 1e-6  # least |1 - 2^(1-s)| zeta_from_eta divides by
 
 # read-only cache of ln n, n = 1..size, one per process; replaced, never
-# written, when it grows
-_LOG_TABLE_LIMIT = 1_000_000
+# written, when it grows (to at most MAX_EULER_HEAD + 96 entries, the widest row)
 _logs = np.log(np.arange(1, 4097, dtype=np.float64))
 _JS = np.arange(1.0, 97.0)  # Euler tail-length model: corrections j = 1..96
 
@@ -141,20 +141,21 @@ def as_point(s) -> ComplexPoint:
     raise DomainError(f"cannot interpret {s!r} as a point of the strip")
 
 
-def _require_alpha_positive(s: ComplexPoint) -> None:
-    if not (s.alpha > 0.0):
-        raise DomainError(f"series evaluation requires Re(s) > 0, got alpha={s.alpha}")
+def _series_point(s) -> ComplexPoint:
+    """s as a point at which the series is evaluated: alpha > 0, alpha and beta finite."""
+    p = as_point(s)
+    if not (p.alpha > 0.0):
+        raise DomainError(f"series evaluation requires Re(s) > 0, got alpha={p.alpha}")
+    if not (math.isfinite(p.alpha) and math.isfinite(p.beta)):
+        raise DomainError(f"alpha and beta must be finite, got alpha={p.alpha}, beta={p.beta}")
+    return p
 
 
 def _log_range(n: int) -> np.ndarray:
     """ln(1..n) from the shared read-only table, growing it if needed."""
     global _logs
     if n > _logs.size:
-        if n <= _LOG_TABLE_LIMIT:
-            size = min(_LOG_TABLE_LIMIT, max(n, 2 * _logs.size))
-            _logs = np.log(np.arange(1, size + 1, dtype=np.float64))
-        else:
-            return np.log(np.arange(1, n + 1, dtype=np.float64))
+        _logs = np.log(np.arange(1, max(n, 2 * _logs.size) + 1, dtype=np.float64))
     return _logs[:n]
 
 
@@ -175,8 +176,7 @@ def _alternating_signs(n: int) -> np.ndarray:
 
 def eta_partial_sum(s: PointLike, n_terms: int) -> complex:
     """sum_{n=1}^{n_terms} (-1)^(n+1) n^(-s), term by term in binary64."""
-    p = as_point(s)
-    _require_alpha_positive(p)
+    p = _series_point(s)
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
@@ -360,10 +360,10 @@ def _stages(log_tv: float, tol: float) -> int:
 def accel_stages_for(s: PointLike, tol: float) -> int:
     """Smallest stage count (rounded to a multiple of 32) whose modelled
     truncation error clears tol."""
-    p = as_point(s)
-    _require_alpha_positive(p)
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
+    p = _series_point(s)
+    error = _domain_error(p.alpha, tol, "accel")
+    if error is not None:
+        raise error
     return _stages(_log_total_variation(p.to_complex()), tol)
 
 
@@ -387,8 +387,7 @@ def _chebyshev_rows(pows: np.ndarray, absp: np.ndarray, betas, n: int,
 
 def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
     """eta(s) by Chebyshev-weighted summation of the first n_stages terms."""
-    p = as_point(s)
-    _require_alpha_positive(p)
+    p = _series_point(s)
     n = int(n_stages)
     if n < 1:
         raise DomainError("n_stages must be >= 1")
@@ -525,7 +524,8 @@ class _BlockLine:
         self.widths = [0] * len(self.zs)
         if engine != "accel":
             self.tails = list(zip(heads, _euler_tail_lengths(self.zs, heads, tol)))
-            self.widths = [head + m for head, m in self.tails]
+            # a head over the cap builds no row: its ladder refuses it at once
+            self.widths = [head + m if head <= MAX_EULER_HEAD else 0 for head, m in self.tails]
             self.euler: list = [None] * len(self.zs)
         if engine != "euler":
             self.log_tvs = [_log_total_variation(z) for z in self.zs]
@@ -545,7 +545,8 @@ class _BlockLine:
             euler = self.euler
             for (head, m), lo, hi in _runs(self.tails, r0, r1):
                 rows = slice(lo - r0, hi - r0), slice(0, head + m)
-                firsts = _euler_rows(pows[rows], absp[rows], imags[lo:hi], head, m)
+                firsts = (_euler_rows(pows[rows], absp[rows], imags[lo:hi], head, m)
+                          if head <= MAX_EULER_HEAD else [(None, math.inf)] * (hi - lo))
                 for k, (value, est) in zip(range(lo, hi), firsts):
                     euler[k] = ((value, est, head + m) if est <= tol
                                 else _euler_ladder(zs[k], head, m, tol, est))
@@ -688,8 +689,7 @@ def zeta_from_eta(s: PointLike, tol: float) -> EvalResult:
     zeta pole (SingularityError), near the factor zeros s_k it is an
     ill-conditioned division (IllConditionedError).
     """
-    p = as_point(s)
-    _require_alpha_positive(p)
+    p = _series_point(s)
     factor = conversion_factor(p)
     fabs = abs(factor)
     if fabs < ZETA_EXCLUSION:

@@ -365,6 +365,8 @@ def _refine_basins(
 # ----------------------------------------------------------------------------
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
+    if not (step > 0.0):
+        raise DomainError(f"grid step must be > 0, got {step}")
     if not all(map(math.isfinite, (lo, hi, step, (hi - lo) / step))):
         raise DomainError(f"grid {lo}:{hi} with step {step} has no finite point count")
     return int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -384,6 +386,8 @@ def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step:
         raise DomainError("step must be > 0")
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
+    if tol == math.inf:  # no margin is below -inf
+        raise DomainError(f"tol must be finite, got tol={tol}")
     eval_tol = min(tol, DEFAULT_SCAN_TOL)
     lines = _sample_lines(_bound_sample, alphas, beta_min, step,
                           _grid_count(beta_min, beta_max, step), workers, eval_tol, engine)

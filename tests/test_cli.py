@@ -203,6 +203,21 @@ class TestUsageErrors:
         (["eval", "--s", "1+infi"], 64, "invalid parameter: beta=inf is not finite"),
         (["scan", "--alpha", "0.5:0.6", "--alpha-step", "inf", "--beta", "0:1"], 64,
          "invalid parameter: grid 0.5:0.6 with step inf has no finite point count"),
+        # an Euler head over MAX_EULER_HEAD is refused before any matrix is built
+        (["eval", "--s", "0.5+500000i", "--engine", "euler", "--tol", "1e-9"], 3,
+         "numerical failure: euler engine cannot certify tol=1e-09 at s=0.5+500000j "
+         "(best estimate inf)"),
+        (["eval", "--s", "0.5+1e9i"], 3,
+         "numerical failure: euler engine cannot certify tol=1e-12 at s=0.5+1e+09j "
+         "(best estimate inf)"),
+        (["pca", "--s", "2", "--theta", "inf"], 64,
+         "invalid parameter: theta must be finite, got theta=inf"),
+        (["pca", "--s", "2", "--theta", "nan"], 64,
+         "invalid parameter: theta must be finite, got theta=nan"),
+        (["pca", "--alpha", "0.5", "--beta", "0:1", "--theta", "-inf"], 64,
+         "invalid parameter: theta must be finite, got theta=-inf"),
+        (["scan", "--alpha", "0.75", "--beta", "0:1", "--tol", "inf"], 64,
+         "invalid parameter: tol must be finite, got tol=inf"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

@@ -246,6 +246,31 @@ class TestEtaEval:
         with pytest.raises(DomainError):
             eta_eval(s, 1e-9)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: accel_stages_for(math.inf, 1e-9),
+         "alpha and beta must be finite, got alpha=inf, beta=0.0"),
+        (lambda: accel_stages_for(1.0, math.inf),
+         "alpha and tol must be finite, got alpha=1.0, tol=inf"),
+        (lambda: eta_accel(math.inf, 32), "alpha and beta must be finite, got alpha=inf, beta=0.0"),
+        (lambda: eta_partial_sum(math.inf, 10),
+         "alpha and beta must be finite, got alpha=inf, beta=0.0"),
+        (lambda: eta_partial_sum(complex(1.0, math.inf), 10),
+         "alpha and beta must be finite, got alpha=1.0, beta=inf"),
+        (lambda: partial_sum_bracket(math.inf, 10),
+         "alpha and beta must be finite, got alpha=inf, beta=0.0"),
+        (lambda: zeta_from_eta(complex(2.0, -math.inf), 1e-9),
+         "alpha and beta must be finite, got alpha=2.0, beta=-inf"),
+    ])
+    def test_non_finite_number_is_refused_before_any_arithmetic(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_euler_head_over_the_cap_is_refused_without_a_matrix(self):
+        # ceil|beta| = 1e9 head terms, past MAX_EULER_HEAD: no attempt is built
+        with pytest.raises(NonConvergenceError, match=r"\(best estimate inf\)$"):
+            eta_euler(ComplexPoint(0.5, 1e9), 1e-9)
+
     def test_partial_engine_off_axis_refuses(self):
         with pytest.raises(NonConvergenceError):
             eta_eval(ComplexPoint(2.0, 1.0), 1e-6, "partial")

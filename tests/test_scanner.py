@@ -294,6 +294,15 @@ class TestScanLine:
         assert len(serial.failures) == 112
         assert {f.error for f in serial.failures} == {"NonConvergenceError"}
 
+    def test_euler_head_over_the_cap_is_one_failure(self):
+        # ceil|beta| = 1e9 head terms, past MAX_EULER_HEAD: refused, not allocated
+        report = scan_line(0.5, 1e9, 1e9, 0.01)
+        assert report.samples == () and report.min_eta_abs == math.inf
+        (failure,) = report.failures
+        assert failure.error == "NonConvergenceError"
+        assert failure.message.endswith("(best estimate inf)")
+
+
 class TestScanGrid:
     def test_degenerate_grid_is_line(self):
         grid = scan_grid((0.8, 0.8), (1.0, 2.0), 0.05, 0.1)
@@ -402,6 +411,11 @@ class TestZeros:
         with pytest.raises(DomainError):
             survey_zeros(-1.0, 5.0)
 
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.01, math.nan])
+    def test_grid_step_must_be_positive(self, grid_step):
+        with pytest.raises(DomainError, match=r"^grid step must be > 0, got "):
+            survey_zeros(0.0, 1.0, grid_step=grid_step)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_survey_raises_first_uncertified_point(self, workers):
