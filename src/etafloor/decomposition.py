@@ -169,8 +169,10 @@ def decompose_from_eta(s, eta_value: complex, theta: float = DEFAULT_THETA) -> T
     tail = complex(eta_value.conjugate() - 1.0)
     u2 = second_term(p)
     tail3 = tail - u2
-    v = cmath.exp(1j * theta) * tail
-    w2 = v.real + v.imag - w1
+    rotation = cmath.exp(1j * theta)
+    v = rotation * tail
+    w_raw = v.real + v.imag
+    w2 = w_raw - w1
     variance1 = 2.0 * math.pi / 4.0**p.alpha
     variance2 = 2.0 * math.pi * abs(tail3) ** 2
     inner = 2.0 * math.pi * (u2 * tail3.conjugate()).real

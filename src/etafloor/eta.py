@@ -92,7 +92,7 @@ BLOCK_ELEMENTS = 4096  # most entries of one n^(-s) matrix (one row always fits)
 ZETA_EXCLUSION = 1e-6  # least |1 - 2^(1-s)| zeta_from_eta divides by
 
 # read-only cache of ln n, n = 1..size, one per process; replaced, never
-# written, when it grows (to at most MAX_EULER_HEAD + 96 entries, the widest row)
+# written, when it grows (no row is wider than MAX_EULER_HEAD + 96 columns)
 _logs = np.log(np.arange(1, 4097, dtype=np.float64))
 _JS = np.arange(1.0, 97.0)  # Euler tail-length model: corrections j = 1..96
 
@@ -187,7 +187,8 @@ def eta_partial_sum(s: PointLike, n_terms: int) -> complex:
     chunk = 1 << 20  # even, so every chunk starts at an odd n, whose term is positive
     for start in range(1, n_terms + 1, chunk):
         stop = min(start + chunk - 1, n_terms)
-        pows = _power_row(sc.real, sc.imag, np.log(np.arange(start, stop + 1, dtype=np.float64)))[0]
+        lnn = np.log(np.arange(start, stop + 1, dtype=np.float64))
+        pows = _power_row(sc.real, sc.imag, lnn)[0]
         total += complex(np.sum(_alternating_signs(stop - start + 1) * pows))
     return total
 
@@ -585,8 +586,8 @@ def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -
 
     Sub-blocks are an even cut, as many rows each as fit in BLOCK_ELEMENTS at
     the widest row any line needs, and each builds one phase matrix, as wide
-    as its own widest row, that every line shares.  Each line forms its own n^(-s)
-    matrix from it and the line's magnitude row, one line at a time, and
+    as its own widest row, that every line shares.  Each line forms its own
+    n^(-s) matrix from it and the line's magnitude row, one line at a time, and
     both engines slice that matrix.  Each run of consecutive rows with the
     same Euler (head, m), or the same Chebyshev n, is reduced row by row on
     exactly its own columns, so every value has the bits of a one-point

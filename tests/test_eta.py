@@ -266,11 +266,6 @@ class TestEtaEval:
             call()
         assert str(info.value) == message
 
-    def test_euler_head_over_the_cap_is_refused_without_a_matrix(self):
-        # ceil|beta| = 1e9 head terms, past MAX_EULER_HEAD: no attempt is built
-        with pytest.raises(NonConvergenceError, match=r"\(best estimate inf\)$"):
-            eta_euler(ComplexPoint(0.5, 1e9), 1e-9)
-
     def test_partial_engine_off_axis_refuses(self):
         with pytest.raises(NonConvergenceError):
             eta_eval(ComplexPoint(2.0, 1.0), 1e-6, "partial")
