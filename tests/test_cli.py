@@ -430,6 +430,15 @@ class TestReportCommand:
         assert capsys.readouterr().err.startswith("etafloor: invalid parameter: ")
 
 
+class TestHelp:
+    def test_help_is_usage_on_stdout_and_exit_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: etafloor ")
+        assert "{eval,props,pca,scan,zeros,report}" in out
+        assert err == ""
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import etafloor.decomposition as decomposition_mod
 from etafloor.decomposition import (
     LeadingComponent,
     decompose_from_eta,
@@ -16,6 +17,7 @@ from etafloor.decomposition import (
     w1_component,
 )
 from etafloor.eta import ComplexPoint, as_point, eta_eval
+from etafloor.exceptions import CrossCheckError, DomainError
 from etafloor.scanner import golden_section_min
 
 LN2 = math.log(2.0)
@@ -164,6 +166,22 @@ class TestInnerProduct:
             assert val == pytest.approx(
                 inner_product_w1_w2(s, 1e-10).closed_form, abs=1e-10
             )
+
+    def test_quadrature_needs_four_panels(self):
+        with pytest.raises(DomainError, match="^need at least 4 trapezoid panels$"):
+            theta_grid(3)
+
+    def test_disagreeing_quadrature_is_a_cross_check_failure(self, monkeypatch):
+        def doubled(panels):
+            nodes, weights = theta_grid(panels)
+            return nodes, 2.0 * weights
+
+        monkeypatch.setattr(decomposition_mod, "theta_grid", doubled)
+        with pytest.raises(CrossCheckError, match="^inner-product quadrature .* disagree beyond "
+                                                  r"tol=1e-09$") as info:
+            inner_product_w1_w2(1.0, 1e-9)
+        assert info.value.gap == pytest.approx(-INNER_1_0, abs=1e-9)
+        assert info.value.budget == 1e-9
 
     @given(strip_alpha, strip_beta)
     def test_quadrature_matches_closed_form(self, alpha, beta):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from etafloor.eta import (
     MAX_ACCEL_STAGES,
+    MAX_PARTIAL_TERMS,
     ComplexPoint,
     EvalResult,
     _log_abs_gamma,
@@ -72,6 +73,16 @@ class TestPartialSum:
             eta_partial_sum(ComplexPoint(0.0, 3.0), 10)
         with pytest.raises(DomainError):
             eta_partial_sum(1.0, 0)
+
+    def test_term_cap_is_refused_before_any_summation(self):
+        with pytest.raises(NonConvergenceError, match="^n_terms 20000001 exceeds cap 20000000$"):
+            eta_partial_sum(1.0, MAX_PARTIAL_TERMS + 1)
+
+    def test_bracket_refusals(self):
+        with pytest.raises(DomainError, match="^bracket requires alpha > 0$"):
+            partial_sum_bracket(0.0, 10)
+        with pytest.raises(DomainError, match="^need at least 2 terms for a bracket$"):
+            partial_sum_bracket(1.0, 1)
 
     def test_second_chunk_continues_the_sign_parity(self):
         # terms past 2**20 are summed in a second chunk; its signs must go on
@@ -157,6 +168,10 @@ class TestAccelEngine:
             eta_accel(0.5 + 1j, MAX_ACCEL_STAGES + 1)
         assert str(info.value) == "n_stages 4097 exceeds cap 4096"
 
+    def test_stage_count_must_be_positive(self):
+        with pytest.raises(DomainError, match="^n_stages must be >= 1$"):
+            eta_accel(2.0, 0)
+
     def test_real_half(self):
         r1 = eta_accel(0.5, 40)
         r2 = eta_euler(0.5, 1e-12)
@@ -180,6 +195,10 @@ class TestAccelEngine:
         q = 0.7
         terms = q ** np.arange(1.0, 49.0)
         assert crvz_reference_sum(terms) == pytest.approx(q / (1 + q), abs=1e-14)
+
+    def test_reference_sum_needs_a_term(self):
+        with pytest.raises(DomainError, match="^need at least one term$"):
+            crvz_reference_sum([])
 
 
 def _gamma_oracle_points(count=1200, seed=20240601):

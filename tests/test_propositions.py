@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etafloor.exceptions import DomainError, SequenceContractError
+from etafloor.exceptions import DomainError, NonConvergenceError, SequenceContractError
 from etafloor.propositions import (
     EllipseParams,
     PropSuiteResult,
@@ -241,6 +241,16 @@ class TestAltTailBound:
     def test_m_validation(self):
         with pytest.raises(DomainError):
             alt_tail_bound(lambda n: 1.0 / n, 0)
+
+    def test_slack_must_be_positive(self):
+        with pytest.raises(DomainError, match="^slack must be > 0$"):
+            alt_tail_bound(lambda n: 1.0 / n, 1, slack=0.0)
+
+    def test_sequence_above_the_slack_does_not_converge(self):
+        # a constant sequence is positive and (weakly) decreasing, and never drops
+        with pytest.raises(NonConvergenceError, match="^sequence did not drop below slack 0.5 "
+                                                      "within 33554432 terms$"):
+            alt_tail_bound(lambda n: np.ones(n.shape), 1, slack=0.5)
 
 
 class TestSuites:

@@ -58,6 +58,10 @@ class TestDeterminism:
         with pytest.raises(DomainError):
             serialize_report(line_report, "yaml")
 
+    def test_object_without_a_schema_rejected(self):
+        with pytest.raises(DomainError, match="^no CSV schema for object$"):
+            serialize_report(object(), "csv")
+
 
 class TestRoundTrip:
     def test_line_scan(self, line_report):
@@ -96,6 +100,25 @@ class TestRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             parse_report_json(json.dumps({"kind": "bogus"}))
+
+    def test_line_range_of_three_entries_rejected(self, line_report):
+        obj = json.loads(serialize_report(line_report, "json"))
+        obj["beta_range"] = [1.0, 1.5, 2.0]
+        with pytest.raises(DomainError, match=r"^malformed line_scan report: expected "
+                                              r"tuple\[float, float\], got \[1\.0, 1\.5, 2\.0\]$"):
+            parse_report_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("abs_error_estimate", -1.0, "abs_error_estimate must be finite and >= 0"),
+        ("terms_used", 0, "terms_used must be >= 1"),
+    ])
+    def test_invalid_eval_result_rejected(self, key, value, message):
+        s = ComplexPoint(0.5, 14.1)
+        obj = json.loads(serialize_report(EvalReport(s, 1e-10, "checked", eta_eval(s, 1e-10)),
+                                          "json"))
+        obj[key] = value
+        with pytest.raises(DomainError, match=f"^malformed eval report: {message}$"):
+            parse_report_json(json.dumps(obj))
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_float_repr_round_trips(self, x):
@@ -153,6 +176,20 @@ class TestAtomicWrite:
         assert main(["eval", "--s", "2", "--output", str(tmp_path / "eval.json")]) == EXIT_IO
         assert capsys.readouterr().err == "etafloor: i/o error: injected rename failure\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_cleanup_keeps_the_rename_error(self, tmp_path, monkeypatch):
+        import etafloor.reporting as reporting_mod
+
+        def failing_replace(src, dst):
+            raise OSError("injected rename failure")
+
+        def failing_unlink(path):
+            raise OSError("injected unlink failure")
+
+        monkeypatch.setattr(reporting_mod.os, "replace", failing_replace)
+        monkeypatch.setattr(reporting_mod.os, "unlink", failing_unlink)
+        with pytest.raises(OSError, match="^injected rename failure$"):
+            write_report_bytes(b"data", str(tmp_path / "report.csv"))
 
     def test_overwrite_is_atomic_replace(self, tmp_path, line_report):
         target = tmp_path / "report.json"

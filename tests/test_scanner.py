@@ -5,8 +5,11 @@ import pytest
 from etafloor.decomposition import LeadingComponent
 import etafloor.eta as eta_mod
 from etafloor.eta import ComplexPoint, eta_eval, eta_line
+from etafloor.decomposition import second_term
+from etafloor.eta import EvalResult
 from etafloor.exceptions import (
     CrossCheckError,
+    DegenerateGeometryError,
     DomainError,
     EtaFloorError,
     NonConvergenceError,
@@ -224,6 +227,8 @@ class TestScanLine:
             scan_line(1.0, 2.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             scan_line(1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="^tol must be > 0$"):
+            scan_line(0.75, 0.0, 1.0, 0.1, tol=0.0)
 
     def test_failed_sample_keeps_other_rows(self, monkeypatch):
         import etafloor.scanner as scanner_mod
@@ -320,6 +325,10 @@ class TestScanGrid:
         with pytest.raises(DomainError):
             scan_grid((0.6, 0.8), (5.0, 1.0), 0.2, 0.1)
 
+    def test_reversed_alpha_range_rejected(self):
+        with pytest.raises(DomainError, match=r"^alpha range is empty \(hi < lo\)$"):
+            scan_grid((0.7, 0.6), (0.0, 1.0), 0.05, 0.1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lines_equal_scan_line_near_2000(self, workers):
         alphas = [0.55 + j * 0.1 for j in range(_grid_count(0.55, 0.95, 0.1))]
@@ -410,6 +419,8 @@ class TestZeros:
             locate_zero(0.0, 1.0)
         with pytest.raises(DomainError):
             survey_zeros(-1.0, 5.0)
+        with pytest.raises(DomainError, match="^tol must be > 0$"):
+            survey_zeros(0.0, 1.0, tol=0.0)
 
 
     @pytest.mark.parametrize("grid_step", [0.0, -0.01, math.nan])
@@ -468,3 +479,15 @@ class TestZeroGeometry:
         for lo, hi in ((14.0, 14.3), (20.9, 21.1), (24.9, 25.1)):
             geometry = zero_geometry(locate_zero(lo, hi, 1e-8))
             assert math.pi / 2 <= geometry.angle <= 3 * math.pi / 2
+
+    def test_vanishing_remainder_is_degenerate(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        # eta_bar = 1 + u2 leaves no remainder vector to measure an angle from
+        def without_remainder(s, tol, engine="checked"):
+            return EvalResult((1.0 + second_term(s)).conjugate(), 0.0, "euler", 1)
+
+        record = locate_zero(14.0, 14.3, 1e-8)
+        monkeypatch.setattr(scanner_mod, "eta_eval", without_remainder)
+        with pytest.raises(DegenerateGeometryError, match=r"^geometry vectors too small at t="):
+            zero_geometry(record)
