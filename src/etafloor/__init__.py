@@ -1,93 +1,1 @@
 """Dirichlet eta engines, executable propositions, and the floor-hypothesis scanner."""
-
-from .eta import (
-    ComplexPoint,
-    EvalResult,
-    as_point,
-    accel_stages_for,
-    conversion_factor,
-    eta_accel,
-    eta_conjugate,
-    eta_euler,
-    eta_eval,
-    eta_partial_sum,
-    factor_zero,
-    partial_sum_bracket,
-    zeta_from_eta,
-)
-from .decomposition import (
-    LeadingComponent,
-    TailDecomposition,
-    inner_product_w1_w2,
-    max_star_w,
-    w1_component,
-)
-from .propositions import (
-    AltTailBound,
-    CircleDecomposition,
-    EllipseParams,
-    additive_modulus_check,
-    alt_tail_bound,
-    circle_decomposition,
-    ellipse_point,
-    reverse_triangle_check,
-    run_all_suites,
-)
-from .scanner import (
-    BoundSample,
-    GridReport,
-    LineScanReport,
-    ZeroRecord,
-    bound_floor,
-    locate_zero,
-    scan_grid,
-    scan_line,
-    survey_zeros,
-    tail_inequality_check,
-    zero_geometry,
-)
-from . import exceptions
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ComplexPoint",
-    "EvalResult",
-    "as_point",
-    "accel_stages_for",
-    "conversion_factor",
-    "eta_accel",
-    "eta_conjugate",
-    "eta_euler",
-    "eta_eval",
-    "eta_partial_sum",
-    "factor_zero",
-    "partial_sum_bracket",
-    "zeta_from_eta",
-    "LeadingComponent",
-    "TailDecomposition",
-    "inner_product_w1_w2",
-    "max_star_w",
-    "w1_component",
-    "AltTailBound",
-    "CircleDecomposition",
-    "EllipseParams",
-    "additive_modulus_check",
-    "alt_tail_bound",
-    "circle_decomposition",
-    "ellipse_point",
-    "reverse_triangle_check",
-    "run_all_suites",
-    "BoundSample",
-    "GridReport",
-    "LineScanReport",
-    "ZeroRecord",
-    "bound_floor",
-    "locate_zero",
-    "scan_grid",
-    "scan_line",
-    "survey_zeros",
-    "tail_inequality_check",
-    "zero_geometry",
-    "exceptions",
-]

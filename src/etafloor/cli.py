@@ -32,9 +32,10 @@ from .reporting import (
     serialize_report,
     write_report_bytes,
 )
-from .scanner import _grid_count, _raise_first_error, scan_grid, scan_line, survey_zeros, zero_geometry
+from .scanner import (DEFAULT_SCAN_TOL, DEFAULT_ZERO_TOL, _grid_count, _raise_first_error,
+                      scan_grid, scan_line, survey_zeros, zero_geometry)
 
-__all__ = ["UsageError", "parse_args", "run", "main"]
+__all__ = ["UsageError", "parse_args", "main"]
 
 EXIT_OK = 0
 EXIT_COMPARE_DIFFERS = 1
@@ -129,7 +130,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--beta", required=True, dest="beta_range", metavar="BETA",
                         help="beta range lo:hi")
     p_scan.add_argument("--step", type=float, default=0.01)
-    p_scan.add_argument("--tol", type=float, default=1e-9)
+    p_scan.add_argument("--tol", type=float, default=DEFAULT_SCAN_TOL)
     p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--engine", default="checked", choices=ENGINES)
     p_scan.add_argument("--strict", action="store_true")
@@ -138,7 +139,7 @@ def _build_parser() -> _Parser:
     p_zeros = sub.add_parser("zeros", help="locate critical-line zeros in a t range")
     p_zeros.add_argument("--t", required=True, dest="t_range", metavar="T",
                          help="ordinate range lo:hi")
-    p_zeros.add_argument("--tol", type=float, default=1e-8)
+    p_zeros.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL)
     p_zeros.add_argument("--workers", type=int, default=1)
     p_zeros.add_argument("--engine", default="checked", choices=ENGINES)
     add_common(p_zeros)
@@ -307,14 +308,11 @@ _RUNNERS = {
 }
 
 
-def run(config: argparse.Namespace) -> int:
-    """Execute a parsed configuration; exceptions map to the exit contract."""
-    return _RUNNERS[config.command](config)
-
-
 def main(argv=None) -> int:
+    """Run one command line; exceptions map to the exit contract."""
     try:
-        return run(parse_args(argv))
+        cfg = parse_args(argv)
+        return _RUNNERS[cfg.command](cfg)
     except UsageError as exc:
         print(f"etafloor: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

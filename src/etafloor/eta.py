@@ -247,25 +247,27 @@ def _euler_tail_lengths(s: list[complex], heads: list[int], tol: float) -> list[
             for k, found in zip(hit.argmax(axis=1).tolist(), hit.any(axis=1).tolist())]
 
 
+def _floors(absrows: np.ndarray, betas) -> list[float]:
+    """The phase-roundoff floor eps*(2*sum|a| + |beta|*sum|a|*ln n) per row,
+    where row r of `absrows` is |a_n| for n = 1..width at beta = betas[r]."""
+    lnn = _log_range(absrows.shape[1])
+    # one dot per row: a matrix-vector product may sum in another order
+    return [EPS * (2.0 * abs_sum + abs(beta) * float(np.dot(row, lnn)))
+            for abs_sum, row, beta in zip(absrows.sum(axis=1).tolist(), absrows, betas)]
+
+
 def _euler_rows(pows: np.ndarray, absp: np.ndarray, betas, head: int,
                 m: int) -> list[tuple[complex, float]]:
     """(value, estimate) of the Euler attempt (head, m) per row, where row r of
     `pows` is n^(-s_r) for n = 1..head+m and `absp` is abs(pows)."""
-    lnn = _log_range(head + m)
     head_sums = (_alternating_signs(head) * pows[:, :head]).sum(axis=1)
     b = pows[:, head:]
     full = (_euler_weights(m) * b).sum(axis=1)
     short = (_euler_weights(m - 8) * b[:, : m - 8]).sum(axis=1)
-    tail_sign = 1.0 if head % 2 == 0 else -1.0
-    out = []
-    for head_sum, tail, tail2, abs_sum, row, beta in zip(
-            head_sums.tolist(), full.tolist(), short.tolist(), absp.sum(axis=1).tolist(), absp,
-            betas):
-        tail = tail_sign * tail
-        tail2 = tail_sign * tail2
-        floor = EPS * (2.0 * abs_sum + abs(beta) * float(np.dot(row, lnn)))
-        out.append((head_sum + tail, 10.0 * abs(tail - tail2) + floor))
-    return out
+    tail_sign = 1.0 if head % 2 == 0 else -1.0  # exact, so |tail - tail2| needs no sign
+    return [(head_sum + tail_sign * tail, 10.0 * abs(tail - tail2) + floor)
+            for head_sum, tail, tail2, floor in zip(head_sums.tolist(), full.tolist(),
+                                                    short.tolist(), _floors(absp, betas))]
 
 
 def _euler_ladder(z: complex, head: int, m: int, tol: float,
@@ -375,15 +377,10 @@ def _chebyshev_rows(pows: np.ndarray, absp: np.ndarray, betas, n: int,
     log_tvs[r] is ln(Gamma(alpha)/|Gamma(s_r)|).  The estimate is the truncation model
     2 (3+sqrt 8)^(-n) Gamma(alpha)/|Gamma(s)| plus the roundoff floor."""
     weights = _crvz_weights(n)
-    lnn = _log_range(n)
     values = (weights * pows).sum(axis=1)
-    wabs = np.abs(weights) * absp
-    out = []
-    for value, abs_sum, row, beta, log_tv in zip(values.tolist(), wabs.sum(axis=1).tolist(),
-                                                 wabs, betas, log_tvs):
-        floor = EPS * (2.0 * abs_sum + abs(beta) * float(np.dot(row, lnn)))
-        out.append((value, 2.0 * math.exp(min(700.0, log_tv - n * _LN_DELTA)) + floor))
-    return out
+    return [(value, 2.0 * math.exp(min(700.0, log_tv - n * _LN_DELTA)) + floor)
+            for value, log_tv, floor in zip(values.tolist(), log_tvs,
+                                            _floors(np.abs(weights) * absp, betas))]
 
 
 def eta_accel(s: PointLike, n_stages: int) -> EvalResult:
