@@ -24,6 +24,7 @@ below tolerance and the two accelerated engines agree at it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple, Sequence
@@ -229,15 +230,17 @@ def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float
     """_grid_chunk over grid indices 0..count-1 of every line alpha: the indices
     are cut into workers x len(alphas) contiguous chunks, each chunk evaluates
     every line, and all chunks go through one process pool (a pool task holds
-    as many rows as one line's chunk per worker would).  Each line's rows
-    come back merged in index order."""
+    as many rows as one line's chunk per worker would) of no more processes
+    than there are workers, chunks or CPUs.  Each line's rows come back
+    merged in index order."""
     workers = max(1, int(workers))
     chunks = _index_chunks(count, workers * len(alphas))
     arg_sets = [(row, tuple(alphas), lo, step, k0, k1, tol, engine) for k0, k1 in chunks]
-    if min(workers, count) <= 1:
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    if processes <= 1:
         results = list(map(_grid_chunk, arg_sets))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_grid_chunk, arg_sets))
     return [[value for chunk in results for value in chunk[j]] for j in range(len(alphas))]
 

@@ -308,6 +308,61 @@ class TestScanLine:
         assert failure.message.endswith("(best estimate inf)")
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestPoolSize:
+    """A pool starts min(workers, chunks, CPUs) processes, and none when that is 1."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        sizes: list = []
+        monkeypatch.setattr(scanner_mod, "ProcessPoolExecutor",
+                            lambda max_workers: _RecordingPool(sizes, max_workers))
+        return sizes
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        import etafloor.scanner as scanner_mod
+
+        monkeypatch.setattr(scanner_mod.os, "cpu_count", lambda: count)
+
+    @pytest.mark.parametrize("beta_max, workers, cpus, expected", [
+        (0.02, 4, 8, [3]),    # 3 points give 3 chunks
+        (1.0, 64, 4, [4]),    # 101 points give 64 chunks, on 4 CPUs
+        (1.0, 4, None, []),   # an unknown CPU count runs in-process
+        (1.0, 4, 1, []),
+    ])
+    def test_scan_line(self, sizes, monkeypatch, beta_max, workers, cpus, expected):
+        from etafloor.reporting import serialize_report
+
+        serial = serialize_report(scan_line(0.75, 0.0, beta_max, 0.01), "csv")
+        self.cpus(monkeypatch, cpus)
+        pooled = scan_line(0.75, 0.0, beta_max, 0.01, workers=workers)
+        assert sizes == expected
+        assert serialize_report(pooled, "csv") == serial
+
+    def test_survey_zeros(self, sizes, monkeypatch):
+        self.cpus(monkeypatch, 8)
+        assert survey_zeros(14.0, 14.02, workers=4) == survey_zeros(14.0, 14.02)
+        assert sizes == [3]
+
+
 class TestScanGrid:
     def test_degenerate_grid_is_line(self):
         grid = scan_grid((0.8, 0.8), (1.0, 2.0), 0.05, 0.1)
