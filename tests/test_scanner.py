@@ -2,11 +2,9 @@ import math
 
 import pytest
 
-from etafloor.decomposition import LeadingComponent
+from etafloor.decomposition import LeadingComponent, second_term
 import etafloor.eta as eta_mod
-from etafloor.eta import ComplexPoint, eta_eval, eta_line
-from etafloor.decomposition import second_term
-from etafloor.eta import EvalResult
+from etafloor.eta import ComplexPoint, EvalResult, eta_eval, eta_line
 from etafloor.exceptions import (
     CrossCheckError,
     DegenerateGeometryError,
