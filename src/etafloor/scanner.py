@@ -10,11 +10,12 @@ here asserts the floor.  Each sample also records the tail modulus |T(s)|
 against sqrt(2)/2^alpha under whichever component the variance classifier
 marks as leading.
 
-Scans are deterministic: the beta grid is an index formula, workers receive
-contiguous index chunks, results merge in ascending beta order, and every local
-minimum is refined by golden section, all basins of a line in lockstep (the
-refined samples join the report so the reported minimum is the minimum over
-the report's samples).
+Scans are deterministic: the beta grid is an index formula, every block of
+BLOCK_POINTS grid indices is one task (in-process or in a process pool, which
+only caps how many run at once), results merge in ascending beta order, and
+every local minimum is refined by golden section, all basins of a line in
+lockstep (the refined samples join the report so the reported minimum is the
+minimum over the report's samples).
 
 Zero location runs the same machinery on f(t) = |eta(1/2 + i t)| with a much
 finer abscissa resolution, and accepts an ordinate only when the residual is
@@ -26,7 +27,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Generator, NamedTuple, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
@@ -195,54 +198,35 @@ def _abs_value(p: ComplexPoint, res: EvalResult) -> float:
 # deterministic parallel evaluation
 # ----------------------------------------------------------------------------
 
-def _index_chunks(count: int, workers: int) -> list[tuple[int, int]]:
-    workers = min(workers, count) or 1
-    size, extra = divmod(count, workers)
-    chunks = []
-    start = 0
-    for w in range(workers):
-        stop = start + size + (1 if w < extra else 0)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
-
-
-def _grid_chunk(args: tuple) -> list[list]:
-    """Per line alpha, row(p, eta(p)) at p = alpha + i(lo + k*step) for k in
-    k0..k1-1.  Every line goes through one eta_lines call per block of grid
-    indices, so the lines share each block's phases and only one block's
-    results are held at once.  The EtaFloorError stands where a point failed,
-    so it crosses a process pool as a value.  `row` must be a module-level
-    function."""
-    row, alphas, lo, step, k0, k1, tol, engine = args
-    out: list[list] = [[] for _ in alphas]
-    for b0 in range(k0, k1, BLOCK_POINTS):
-        betas = [lo + k * step for k in range(b0, min(b0 + BLOCK_POINTS, k1))]
-        for alpha, rows, results in zip(alphas, out, eta_lines(alphas, betas, tol, engine)):
-            for beta, res in zip(betas, results):
-                rows.append(res if isinstance(res, EtaFloorError)
-                            else row(ComplexPoint(alpha, beta), res))
-    return out
+def _grid_block(row: Callable, alphas: tuple[float, ...], lo: float, step: float, count: int,
+                tol: float, engine: str, k0: int) -> list[list]:
+    """Per line alpha, row(p, eta(p)) at p = alpha + i(lo + k*step) for the
+    grid indices k of the block k0..k0+BLOCK_POINTS-1 below count, from one
+    eta_lines call, so the lines share the block's phases.  The EtaFloorError
+    stands where a point failed, so it crosses a process pool as a value.
+    `row` must be a module-level function."""
+    betas = [lo + k * step for k in range(k0, min(k0 + BLOCK_POINTS, count))]
+    return [[res if isinstance(res, EtaFloorError) else row(ComplexPoint(alpha, beta), res)
+             for beta, res in zip(betas, results)]
+            for alpha, results in zip(alphas, eta_lines(alphas, betas, tol, engine))]
 
 
 def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float, count: int,
                   workers: int, tol: float, engine: str) -> list[list]:
-    """_grid_chunk over grid indices 0..count-1 of every line alpha: the indices
-    are cut into workers x len(alphas) contiguous chunks, each chunk evaluates
-    every line, and all chunks go through one process pool (a pool task holds
-    as many rows as one line's chunk per worker would) of no more processes
-    than there are workers, chunks or CPUs.  Each line's rows come back
-    merged in index order."""
-    workers = max(1, int(workers))
-    chunks = _index_chunks(count, workers * len(alphas))
-    arg_sets = [(row, tuple(alphas), lo, step, k0, k1, tol, engine) for k0, k1 in chunks]
-    processes = min(workers, len(chunks), os.cpu_count() or 1)
-    if processes <= 1:
-        results = list(map(_grid_chunk, arg_sets))
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_grid_chunk, arg_sets))
-    return [[value for chunk in results for value in chunk[j]] for j in range(len(alphas))]
+    """_grid_block over grid indices 0..count-1 of every line alpha: one task
+    per block of BLOCK_POINTS indices, run in-process or through one process
+    pool of no more processes than there are workers, blocks or usable CPUs.
+    Each line's rows come back merged in index order."""
+    starts = range(0, count, BLOCK_POINTS)
+    block = partial(_grid_block, row, tuple(alphas), lo, step, count, tol, engine)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(max(1, int(workers)), len(starts), cpus or 1)
+    lines: list[list] = [[] for _ in alphas]
+    with (ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext()) as pool:
+        for rows in (pool.map if pool else map)(block, starts):
+            for line, part in zip(lines, rows):
+                line.extend(part)
+    return lines
 
 
 # ----------------------------------------------------------------------------
@@ -453,8 +437,8 @@ def scan_line(
     """Sample |eta(alpha + i beta)| on a beta grid and refine every local minimum.
 
     Violations are the samples with margin < -tol.  Output is independent of
-    the worker count: chunks are merged in index order and refinement runs on
-    the merged grid.
+    the worker count: grid blocks are merged in index order and refinement
+    runs on the merged grid.
     """
     return _scan_lines([alpha], beta_min, beta_max, step, tol, workers, engine)[0]
 
@@ -500,7 +484,7 @@ def _zero_candidates(
 ) -> list[tuple[float, float, float]]:
     """(t, residual, engine gap) at every refined minimum of |eta(1/2 + i t)|.
 
-    The grid t_lo + i*grid_step is sampled in worker chunks (then the failed
+    The grid t_lo + i*grid_step is sampled in blocks (then the failed
     point of lowest index, if any, raises its error), every interior
     local minimum is refined by golden section (then the failed basin of
     lowest index, if any, raises its error), and the Euler/Chebyshev gap is

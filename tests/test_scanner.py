@@ -281,7 +281,7 @@ class TestScanLine:
 
         kwargs = dict(step=0.05, tol=1e-9)
         reports = [
-            scan_line(0.75, 10.0, 12.0, workers=w, **kwargs) for w in (1, 2, 8)
+            scan_line(0.75, 10.0, 17.0, workers=w, **kwargs) for w in (1, 2, 8)
         ]
         assert reports[0] == reports[1] == reports[2]
         blobs = {serialize_report(r, fmt) for r in reports for fmt in ("csv", "json")}
@@ -307,10 +307,12 @@ class TestScanLine:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the tasks
+    it is given, maps in-process."""
 
-    def __init__(self, sizes: list, max_workers: int):
-        sizes.append(max_workers)
+    def __init__(self, calls: list, max_workers: int):
+        self.calls = calls
+        calls.append([max_workers])
 
     def __enter__(self):
         return self
@@ -319,46 +321,58 @@ class _RecordingPool:
         return False
 
     def map(self, fn, iterable):
-        return map(fn, iterable)
+        tasks = list(iterable)
+        self.calls[-1].append(tasks)
+        return map(fn, tasks)
 
 
 class TestPoolSize:
-    """A pool starts min(workers, chunks, CPUs) processes, and none when that is 1."""
+    """One task per block of BLOCK_POINTS grid indices; a pool starts
+    min(workers, blocks, usable CPUs) processes, and none when that is 1."""
 
     @pytest.fixture
-    def sizes(self, monkeypatch):
+    def calls(self, monkeypatch):
         import etafloor.scanner as scanner_mod
 
-        sizes: list = []
+        calls: list = []
         monkeypatch.setattr(scanner_mod, "ProcessPoolExecutor",
-                            lambda max_workers: _RecordingPool(sizes, max_workers))
-        return sizes
+                            lambda max_workers: _RecordingPool(calls, max_workers))
+        return calls
 
     @staticmethod
     def cpus(monkeypatch, count):
-        import etafloor.scanner as scanner_mod
+        """`count` usable CPUs on a larger host, or no usable count at all."""
+        import os
 
-        monkeypatch.setattr(scanner_mod.os, "cpu_count", lambda: count)
+        if count is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
     @pytest.mark.parametrize("beta_max, workers, cpus, expected", [
-        (0.02, 4, 8, [3]),    # 3 points give 3 chunks
-        (1.0, 64, 4, [4]),    # 101 points give 64 chunks, on 4 CPUs
-        (1.0, 4, None, []),   # an unknown CPU count runs in-process
-        (1.0, 4, 1, []),
+        pytest.param(1.27, 8, 8, [], id="128-points"),  # one block
+        pytest.param(1.28, 8, 8, [[2, [0, 128]]], id="129-points"),  # two blocks
+        pytest.param(10.0, 64, 4, [[4, list(range(0, 1001, 128))]], id="1001-points-4-cpus"),
+        pytest.param(10.0, 4, None, [], id="unknown-cpus"),  # runs in-process
+        pytest.param(10.0, 4, 1, [], id="one-cpu"),  # so does 1 usable CPU
     ])
-    def test_scan_line(self, sizes, monkeypatch, beta_max, workers, cpus, expected):
+    def test_scan_line(self, calls, monkeypatch, beta_max, workers, cpus, expected):
         from etafloor.reporting import serialize_report
 
         serial = serialize_report(scan_line(0.75, 0.0, beta_max, 0.01), "csv")
         self.cpus(monkeypatch, cpus)
         pooled = scan_line(0.75, 0.0, beta_max, 0.01, workers=workers)
-        assert sizes == expected
+        assert calls == expected
         assert serialize_report(pooled, "csv") == serial
 
-    def test_survey_zeros(self, sizes, monkeypatch):
+    def test_survey_zeros(self, calls, monkeypatch):
+        serial = survey_zeros(14.0, 17.0)
         self.cpus(monkeypatch, 8)
-        assert survey_zeros(14.0, 14.02, workers=4) == survey_zeros(14.0, 14.02)
-        assert sizes == [3]
+        assert survey_zeros(14.0, 17.0, workers=4) == serial  # 301 points, 3 blocks
+        assert calls == [[3, [0, 128, 256]]]
 
 
 class TestScanGrid:
@@ -385,9 +399,9 @@ class TestScanGrid:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lines_equal_scan_line_near_2000(self, workers):
         alphas = [0.55 + j * 0.1 for j in range(_grid_count(0.55, 0.95, 0.1))]
-        grid = scan_grid((0.55, 0.95), (2000.0, 2001.0), 0.1, 0.01, workers=workers)
+        grid = scan_grid((0.55, 0.95), (2000.0, 2002.0), 0.1, 0.01, workers=workers)
         assert len(alphas) == 5
-        assert grid.lines == tuple(scan_line(a, 2000.0, 2001.0, 0.01) for a in alphas)
+        assert grid.lines == tuple(scan_line(a, 2000.0, 2002.0, 0.01) for a in alphas)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_injected_failure_stays_on_its_line(self, monkeypatch, workers):
@@ -423,14 +437,14 @@ class TestScanGrid:
 
         # beta 5000 needs ln n past the 4096 entries the table starts with
         monkeypatch.setattr(eta_mod, "_logs", eta_mod._logs[:4096].copy())
-        grids = [scan_grid((0.9, 0.9), (5000.0, 5000.02), 0.1, 0.01, workers=w) for w in (2, 1)]
+        grids = [scan_grid((0.9, 0.9), (5000.0, 5002.0), 0.1, 0.01, workers=w) for w in (2, 1)]
         assert serialize_report(grids[0], "csv") == serialize_report(grids[1], "csv")
 
     def test_pooled_grid_bytes_equal_serial(self):
         from etafloor.reporting import serialize_report
 
         # the alpha = 0.05 line fails at most points, the others refine basins
-        grids = [scan_grid((0.05, 0.75), (995.0, 1001.0), 0.35, 0.05, workers=w)
+        grids = [scan_grid((0.05, 0.75), (995.0, 1002.0), 0.35, 0.05, workers=w)
                  for w in (1, 2)]
         assert grids[0].lines[0].failures and grids[0].lines[2].samples
         for fmt in ("csv", "json"):
@@ -484,7 +498,7 @@ class TestZeros:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_survey_raises_first_uncertified_point(self, workers):
         with pytest.raises(NonConvergenceError, match=r"s=0\.5\+4400j"):
-            survey_zeros(4400.0, 4400.5, workers=workers)
+            survey_zeros(4400.0, 4401.3, workers=workers)
 
     def test_engine_disagreement_at_a_zero_is_a_cross_check_error(self, monkeypatch):
         import etafloor.scanner as scanner_mod
