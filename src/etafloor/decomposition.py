@@ -96,10 +96,18 @@ class MaxStarResult(NamedTuple):
     holds: bool
 
 
+def _power(base: float, alpha: float) -> float:
+    """base**alpha, refused as a DomainError where it overflows a float."""
+    try:
+        return base**alpha
+    except OverflowError:
+        raise DomainError(f"alpha={alpha} is too large: {base:g}**alpha overflows") from None
+
+
 def second_term(s) -> complex:
     """u2 = -e^{i beta ln 2} / 2^alpha, the n = 2 term of the conjugated series."""
     p = as_point(s)
-    return -cmath.exp(1j * p.beta * LN2) / 2.0**p.alpha
+    return -cmath.exp(1j * p.beta * LN2) / _power(2.0, p.alpha)
 
 
 def w1_component(s, theta: float) -> float:
@@ -107,14 +115,14 @@ def w1_component(s, theta: float) -> float:
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got theta={theta}")
     p = as_point(s)
-    return -(SQRT2 / 2.0**p.alpha) * math.cos(p.beta * LN2 + theta - math.pi / 4.0)
+    return -(SQRT2 / _power(2.0, p.alpha)) * math.cos(p.beta * LN2 + theta - math.pi / 4.0)
 
 
 def tail_bound(alpha: float) -> float:
     """Remainder bound sqrt(2)/2^alpha on the rotated-tail objective."""
     if not (alpha > 0.0):
         raise DomainError("alpha must be > 0")
-    return SQRT2 / 2.0**alpha
+    return SQRT2 / _power(2.0, alpha)
 
 
 def theta_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +181,7 @@ def decompose_from_eta(s, eta_value: complex, theta: float = DEFAULT_THETA) -> T
     v = rotation * tail
     w_raw = v.real + v.imag
     w2 = w_raw - w1
-    variance1 = 2.0 * math.pi / 4.0**p.alpha
+    variance1 = 2.0 * math.pi / _power(4.0, p.alpha)
     variance2 = 2.0 * math.pi * abs(tail3) ** 2
     inner = 2.0 * math.pi * (u2 * tail3.conjugate()).real
     leading = LeadingComponent.W1 if variance1 >= variance2 else LeadingComponent.W2

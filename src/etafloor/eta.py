@@ -356,7 +356,10 @@ def _log_total_variation(s: complex) -> float:
 def _stages(log_tv: float, tol: float) -> int:
     """Smallest multiple of 32 (at least 32) whose modelled truncation error,
     for a measure of log size log_tv, clears tol."""
-    n = int(math.ceil((log_tv + math.log(2.0 / tol)) / _LN_DELTA)) + 4
+    ratio = 2.0 / tol
+    # 2/tol overflows for tol below about 1.1e-308; only there is the log taken apart
+    log_ratio = math.log(ratio) if ratio < math.inf else LN2 - math.log(tol)
+    n = int(math.ceil((log_tv + log_ratio) / _LN_DELTA)) + 4
     return ((max(n, 8) + 31) // 32) * 32
 
 

@@ -218,6 +218,21 @@ class TestUsageErrors:
          "invalid parameter: theta must be finite, got theta=-inf"),
         (["scan", "--alpha", "0.75", "--beta", "0:1", "--tol", "inf"], 64,
          "invalid parameter: tol must be finite, got tol=inf"),
+        # 4**alpha overflows a float from alpha = 512 on
+        (["scan", "--alpha", "512", "--beta", "0:0.02"], 64,
+         "invalid parameter: alpha=512.0 is too large: 4**alpha overflows"),
+        (["pca", "--s", "600+1i"], 64,
+         "invalid parameter: alpha=600.0 is too large: 4**alpha overflows"),
+        # 2/tol overflows at a subnormal tol
+        (["eval", "--s", "0.5+14i", "--tol", "1e-320"], 3,
+         "numerical failure: euler engine cannot certify tol=9.99989e-321 at s=0.5+14j "
+         "(best estimate 3.46468e-13)"),
+        (["eval", "--s", "0.5+14i", "--tol", "1e-320", "--engine", "accel"], 3,
+         "numerical failure: accel engine cannot certify tol=9.99989e-321 at s=0.5+14j "
+         "(estimate 4.43701e-13)"),
+        (["pca", "--s", "0.5+14i", "--tol", "1e-320"], 3,
+         "numerical failure: euler engine cannot certify tol=9.99989e-321 at s=0.5+14j "
+         "(best estimate 3.46468e-13)"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -297,6 +312,17 @@ class TestScanCommand:
         assert code == EXIT_CROSS_CHECK
         report = parse_report_json((tmp_path / "bad.json").read_bytes())
         assert report.failures
+        assert not report.samples
+
+    def test_subnormal_tol_fails_each_point(self, tmp_path, capsys):
+        # no engine certifies tol=1e-320, where 2/tol overflows
+        code = main(
+            ["scan", "--alpha", "0.75", "--beta", "14:14.02", "--tol", "1e-320",
+             "--output", str(tmp_path / "tiny.json"), "--format", "json"]
+        )
+        assert code == EXIT_CROSS_CHECK
+        report = parse_report_json((tmp_path / "tiny.json").read_bytes())
+        assert [failure.s.beta for failure in report.failures] == [14.0, 14.01, 14.02]
         assert not report.samples
 
     def test_grid_scan(self, tmp_path, capsys):

@@ -13,12 +13,13 @@ from etafloor.decomposition import (
     inner_product_w1_w2,
     max_star_w,
     second_term,
+    tail_bound,
     theta_grid,
     w1_component,
 )
 from etafloor.eta import ComplexPoint, as_point, eta_eval
 from etafloor.exceptions import CrossCheckError, DomainError
-from etafloor.scanner import golden_section_min
+from etafloor.scanner import bound_floor, golden_section_min
 
 LN2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -243,3 +244,20 @@ class TestMaxStar:
     def test_grid_holds(self):
         for alpha in np.arange(0.1, 5.0001, 0.01):
             assert max_star_w(float(alpha), 1e-10).holds
+
+
+class TestLargeAlpha:
+    @pytest.mark.parametrize("call", [
+        lambda: tail_bound(1100.0),
+        lambda: bound_floor(1100.0),
+        lambda: max_star_w(1100.0, 1e-10),
+    ])
+    def test_overflowing_power_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match=r"^alpha=1100\.0 is too large: 2\*\*alpha overflows$"):
+            call()
+
+    def test_decomposition_refuses_from_alpha_512(self):
+        dec = decompose_from_eta(ComplexPoint(511.9, 1.0), 1.0 + 0j)
+        assert dec.variance1 == 2.0 * math.pi / 4.0**511.9
+        with pytest.raises(DomainError, match=r"^alpha=512\.0 is too large: 4\*\*alpha overflows$"):
+            decompose_from_eta(ComplexPoint(512.0, 1.0), 1.0 + 0j)

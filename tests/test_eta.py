@@ -285,6 +285,12 @@ class TestEtaEval:
             call()
         assert str(info.value) == message
 
+    def test_subnormal_tol_counts_stages(self):
+        # 2/tol overflows below tol ~ 1.1e-308; the stage count stays finite
+        assert accel_stages_for(complex(0.5, 14.0), 1e-320) == 448
+        with pytest.raises(NonConvergenceError, match=r"^accel engine cannot certify"):
+            eta_eval(complex(0.5, 14.0), 1e-320, "accel")
+
     def test_partial_engine_off_axis_refuses(self):
         with pytest.raises(NonConvergenceError):
             eta_eval(ComplexPoint(2.0, 1.0), 1e-6, "partial")
