@@ -253,11 +253,13 @@ class TestLargeAlpha:
         lambda: max_star_w(1100.0, 1e-10),
     ])
     def test_overflowing_power_is_a_domain_error(self, call):
-        with pytest.raises(DomainError, match=r"^alpha=1100\.0 is too large: 2\*\*alpha overflows$"):
+        with pytest.raises(DomainError,
+                           match=r"^alpha=1100\.0 is too large: 2\*\*alpha overflows$"):
             call()
 
     def test_decomposition_refuses_from_alpha_512(self):
         dec = decompose_from_eta(ComplexPoint(511.9, 1.0), 1.0 + 0j)
         assert dec.variance1 == 2.0 * math.pi / 4.0**511.9
-        with pytest.raises(DomainError, match=r"^alpha=512\.0 is too large: 4\*\*alpha overflows$"):
+        with pytest.raises(DomainError,
+                           match=r"^alpha=512\.0 is too large: 4\*\*alpha overflows$"):
             decompose_from_eta(ComplexPoint(512.0, 1.0), 1.0 + 0j)
