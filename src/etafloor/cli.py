@@ -24,11 +24,9 @@ from .reporting import (
     EvalReport,
     PcaReport,
     PropsReport,
-    ZeroRow,
     ZerosReport,
     merge_reports,
     parse_report_json,
-    reports_equal,
     serialize_report,
     write_report_bytes,
 )
@@ -276,12 +274,9 @@ def _run_zeros(cfg: argparse.Namespace) -> int:
         cfg.t_range[0], cfg.t_range[1], cfg.tol,
         workers=cfg.workers, engine=cfg.engine,
     )
-    rows = []
-    for record in records:
-        geometry = zero_geometry(record)
-        rows.append(ZeroRow(record, geometry.angle, geometry.in_claimed_range))
+    rows = tuple(map(zero_geometry, records))
     print(f"zeros: {len(rows)} accepted in t range {cfg.t_range}", file=sys.stderr)
-    _emit(ZerosReport(t_range=cfg.t_range, tol=cfg.tol, rows=tuple(rows)), cfg)
+    _emit(ZerosReport(t_range=cfg.t_range, tol=cfg.tol, rows=rows), cfg)
     return EXIT_OK
 
 
@@ -291,7 +286,7 @@ def _run_report(cfg: argparse.Namespace) -> int:
         with open(path, "rb") as handle:
             loaded.append(parse_report_json(handle.read()))
     if cfg.compare:
-        equal = reports_equal(loaded[0], loaded[1])
+        equal = loaded[0] == loaded[1]
         print("reports are equal" if equal else "reports differ", file=sys.stderr)
         return EXIT_OK if equal else EXIT_COMPARE_DIFFERS
     _emit(merge_reports(loaded), cfg)

@@ -64,7 +64,6 @@ __all__ = [
     "eta_eval",
     "eta_line",
     "eta_lines",
-    "eta_conjugate",
     "conversion_factor",
     "factor_zero",
     "zeta_from_eta",
@@ -106,9 +105,6 @@ class ComplexPoint:
 
     def to_complex(self) -> complex:
         return complex(self.alpha, self.beta)
-
-    def conjugate(self) -> "ComplexPoint":
-        return ComplexPoint(self.alpha, -self.beta)
 
 
 @dataclass(frozen=True)
@@ -416,7 +412,7 @@ def crvz_reference_sum(terms: np.ndarray) -> float | np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# dispatch, conjugate, conversion factor
+# dispatch, conversion factor
 # ----------------------------------------------------------------------------
 
 def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult | NonConvergenceError:
@@ -659,11 +655,6 @@ def eta_eval(s: PointLike, tol: float, engine: str = "checked") -> EvalResult:
     if isinstance(result, EtaFloorError):
         raise result
     return result
-
-
-def eta_conjugate(s: PointLike, tol: float, engine: str = "checked") -> complex:
-    """sum_{n>=1} (-1)^(n+1) e^{+i beta ln n} / n^alpha = conj(eta(s))."""
-    return complex(np.conj(eta_eval(s, tol, engine).value))
 
 
 def conversion_factor(s: PointLike) -> complex:

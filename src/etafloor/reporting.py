@@ -21,12 +21,11 @@ from enum import Enum
 from .eta import ComplexPoint, EvalResult
 from .propositions import PropSuiteResult
 from .decomposition import TailDecomposition
-from .scanner import GridReport, LineScanReport, ZeroRecord
+from .scanner import GridReport, LineScanReport, ZeroRow
 from .exceptions import DomainError
 
-__all__ = ["EvalReport", "PropsReport", "PcaReport", "ZeroRow", "ZerosReport",
-           "serialize_report", "parse_report_json", "reports_equal", "merge_reports",
-           "write_report_bytes", "SCAN_CSV_HEADER"]
+__all__ = ["EvalReport", "PropsReport", "PcaReport", "ZerosReport", "serialize_report",
+           "parse_report_json", "merge_reports", "write_report_bytes", "SCAN_CSV_HEADER"]
 
 SCHEMA_VERSION = 1
 
@@ -57,13 +56,6 @@ class PropsReport:
 class PcaReport:
     tol: float
     rows: tuple[TailDecomposition, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class ZeroRow:
-    record: ZeroRecord
-    angle: float
-    in_claimed_range: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,10 +186,6 @@ def parse_report_json(data: bytes | str):
         raise DomainError(f"malformed {kind} report: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed {kind} report: {exc}") from None
-
-
-def reports_equal(a, b) -> bool:
-    return type(a) is type(b) and a == b
 
 
 def merge_reports(reports: list):

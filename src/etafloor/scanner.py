@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, Generator, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 from .eta import (
@@ -38,7 +38,6 @@ from .eta import (
     ComplexPoint,
     EvalResult,
     accel_stages_for,
-    as_point,
     eta_accel,
     eta_eval,
     eta_euler,
@@ -59,9 +58,8 @@ __all__ = [
     "LineScanReport",
     "GridReport",
     "ZeroRecord",
-    "ZeroGeometry",
+    "ZeroRow",
     "bound_floor",
-    "tail_inequality_check",
     "scan_line",
     "scan_grid",
     "golden_section_min",
@@ -145,7 +143,9 @@ class ZeroRecord:
     bracket: tuple[float, float]
 
 
-class ZeroGeometry(NamedTuple):
+@dataclass(frozen=True)
+class ZeroRow:
+    record: ZeroRecord
     angle: float
     in_claimed_range: bool
 
@@ -155,19 +155,14 @@ def bound_floor(alpha: float) -> float:
     return abs(1.0 - tail_bound(alpha))
 
 
-def tail_inequality_check(s, tol: float, engine: str = "checked") -> BoundSample:
-    """One sample: |eta|, floor margin, tail modulus versus sqrt(2)/2^alpha.
+def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
+    """One sample at p from eta(p) = res: |eta|, floor margin, tail modulus
+    versus sqrt(2)/2^alpha.
 
     Under a leading first component the recorded inequality is
     |T| <= sqrt(2)/2^alpha; under a leading second component it is
     |T| >= sqrt(2)/2^alpha.  The outcome is recorded, never asserted.
     """
-    p = as_point(s)
-    return _bound_sample(p, eta_eval(p, tol, engine))
-
-
-def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
-    """The sample tail_inequality_check records at p from eta(p) = res."""
     dec = decompose_from_eta(p, res.value)
     eta_abs = abs(res.value)
     floor_value = bound_floor(p.alpha)
@@ -570,8 +565,9 @@ def locate_zero(
     return ZeroRecord(t_star, residual, gap, (t_lo, t_hi))
 
 
-def zero_geometry(record: ZeroRecord) -> ZeroGeometry:
-    """Angle between the remaining-terms vector and the n = 2 term at a zero.
+def zero_geometry(record: ZeroRecord) -> ZeroRow:
+    """The report row of a zero: the angle between the remaining-terms vector
+    and the n = 2 term there, and whether it lies in [pi/2, 3*pi/2].
 
     At s0 = 1/2 + i t the conjugated series splits as u2 + R = eta_bar(s0) - 1
     with u2 = -e^{i t ln 2}/sqrt(2); the reported angle is
@@ -588,4 +584,4 @@ def zero_geometry(record: ZeroRecord) -> ZeroGeometry:
         )
     angle = (math.atan2(remainder.imag, remainder.real)
              - math.atan2(u2.imag, u2.real)) % (2.0 * math.pi)
-    return ZeroGeometry(angle, math.pi / 2.0 <= angle <= 3.0 * math.pi / 2.0)
+    return ZeroRow(record, angle, math.pi / 2.0 <= angle <= 3.0 * math.pi / 2.0)

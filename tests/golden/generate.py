@@ -23,7 +23,6 @@ from etafloor.reporting import (
     EvalReport,
     PcaReport,
     PropsReport,
-    ZeroRow,
     ZerosReport,
     merge_reports,
     serialize_report,
@@ -41,11 +40,8 @@ HERE = Path(__file__).resolve().parent
 
 
 def _zeros(t_lo: float, t_hi: float) -> ZerosReport:
-    rows = []
-    for record in survey_zeros(t_lo, t_hi, 1e-8):
-        geometry = zero_geometry(record)
-        rows.append(ZeroRow(record, geometry.angle, geometry.in_claimed_range))
-    return ZerosReport(t_range=(t_lo, t_hi), tol=1e-8, rows=tuple(rows))
+    rows = tuple(map(zero_geometry, survey_zeros(t_lo, t_hi, 1e-8)))
+    return ZerosReport(t_range=(t_lo, t_hi), tol=1e-8, rows=rows)
 
 
 def _failed_line() -> LineScanReport:

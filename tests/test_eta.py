@@ -24,7 +24,6 @@ from etafloor.eta import (
     conversion_factor,
     crvz_reference_sum,
     eta_accel,
-    eta_conjugate,
     eta_euler,
     eta_eval,
     eta_line,
@@ -509,22 +508,6 @@ class TestEtaLines:
         assert eta_lines((0.5, 0.6), [], 1e-9) == [[], []]
 
 
-class TestConjugate:
-    def test_real_point_identity(self):
-        assert eta_conjugate(1.0, 1e-12) == pytest.approx(LN2, abs=1e-12)
-
-    def test_matches_conj_of_eval(self):
-        s = ComplexPoint(0.5, 10.0)
-        tol = 1e-10
-        assert abs(eta_conjugate(s, tol) - eta_eval(s, tol).value.conjugate()) <= 2 * tol
-
-    def test_modulus_invariance(self):
-        s = ComplexPoint(0.6, 30.0)
-        assert abs(eta_conjugate(s, 1e-10)) == pytest.approx(
-            abs(eta_eval(s, 1e-10).value), abs=1e-9
-        )
-
-
 class TestConversionFactor:
     def test_at_one(self):
         assert conversion_factor(1.0) == 0.0
@@ -540,7 +523,7 @@ class TestConversionFactor:
         z1 = factor_zero(1)
         assert z1.alpha == 1.0
         assert z1.beta == pytest.approx(9.06472, abs=1e-5)
-        assert factor_zero(-1) == z1.conjugate()
+        assert factor_zero(-1) == ComplexPoint(z1.alpha, -z1.beta)
         assert factor_zero(2).beta == pytest.approx(2 * z1.beta, rel=1e-15)
         with pytest.raises(DomainError):
             factor_zero(0)

@@ -13,11 +13,9 @@ from etafloor.reporting import (
     PcaReport,
     PropsReport,
     SCAN_CSV_HEADER,
-    ZeroRow,
     ZerosReport,
     merge_reports,
     parse_report_json,
-    reports_equal,
     serialize_report,
     write_report_bytes,
 )
@@ -32,12 +30,7 @@ def line_report():
 @pytest.fixture(scope="module")
 def zeros_report():
     record = locate_zero(14.0, 14.3, 1e-8)
-    geometry = zero_geometry(record)
-    return ZerosReport(
-        t_range=(14.0, 14.3),
-        tol=1e-8,
-        rows=(ZeroRow(record, geometry.angle, geometry.in_claimed_range),),
-    )
+    return ZerosReport(t_range=(14.0, 14.3), tol=1e-8, rows=(zero_geometry(record),))
 
 
 class TestDeterminism:
@@ -67,35 +60,35 @@ class TestRoundTrip:
     def test_line_scan(self, line_report):
         data = serialize_report(line_report, "json")
         parsed = parse_report_json(data)
-        assert reports_equal(parsed, line_report)
+        assert parsed == line_report
         assert serialize_report(parsed, "json") == data
 
     def test_grid(self):
         grid = scan_grid((0.6, 0.7), (0.0, 1.0), 0.1, 0.25)
         parsed = parse_report_json(serialize_report(grid, "json"))
-        assert reports_equal(parsed, grid)
+        assert parsed == grid
 
     def test_eval(self):
         s = ComplexPoint(0.5, 14.1)
         report = EvalReport(s, 1e-10, "checked", eta_eval(s, 1e-10))
         parsed = parse_report_json(serialize_report(report, "json"))
-        assert reports_equal(parsed, report)
+        assert parsed == report
 
     def test_props(self):
         report = PropsReport(cases=50, seed=3, rows=tuple(run_all_suites(50, 3)))
         parsed = parse_report_json(serialize_report(report, "json"))
-        assert reports_equal(parsed, report)
+        assert parsed == report
 
     def test_pca(self):
         points = (ComplexPoint(1.5, 0.0), ComplexPoint(0.5, 9.0))
         rows = tuple(decompose_from_eta(p, eta_eval(p, 1e-10).value) for p in points)
         report = PcaReport(tol=1e-10, rows=rows)
         parsed = parse_report_json(serialize_report(report, "json"))
-        assert reports_equal(parsed, report)
+        assert parsed == report
 
     def test_zeros(self, zeros_report):
         parsed = parse_report_json(serialize_report(zeros_report, "json"))
-        assert reports_equal(parsed, zeros_report)
+        assert parsed == zeros_report
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

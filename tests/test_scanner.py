@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from etafloor.decomposition import LeadingComponent, second_term
+from etafloor.decomposition import LeadingComponent, second_term, tail_bound
 import etafloor.eta as eta_mod
 from etafloor.eta import ComplexPoint, EvalResult, eta_eval, eta_line
 from etafloor.exceptions import (
@@ -27,8 +27,6 @@ from etafloor.scanner import (
     scan_grid,
     scan_line,
     survey_zeros,
-    tail_bound,
-    tail_inequality_check,
     zero_geometry,
 )
 
@@ -62,22 +60,28 @@ class TestBoundFloor:
         assert tail_bound(1.0) == pytest.approx(SQRT2 / 2, abs=1e-15)
 
 
+def _one_sample(alpha: float, beta: float, tol: float):
+    """The one row of a scan of the single grid point alpha + i beta."""
+    sample, = scan_line(alpha, beta, beta, 0.01, tol).samples
+    return sample
+
+
 class TestTailInequalityCheck:
     def test_at_one(self):
-        sample = tail_inequality_check(1.0, 1e-10)
+        sample = _one_sample(1.0, 0.0, 1e-10)
         assert sample.tail_abs == pytest.approx(1 - LN2, abs=1e-10)
         assert sample.tail_bound == pytest.approx(SQRT2 / 2, abs=1e-15)
         assert sample.leading is LeadingComponent.W1
         assert sample.tail_inequality_holds
 
     def test_at_half(self):
-        sample = tail_inequality_check(0.5, 1e-10)
+        sample = _one_sample(0.5, 0.0, 1e-10)
         assert sample.tail_abs == pytest.approx(1 - ETA_HALF, abs=1e-9)
         assert sample.tail_bound == pytest.approx(1.0, abs=1e-15)
         assert sample.floor_value == 0.0
 
     def test_margin_is_exact_difference(self):
-        sample = tail_inequality_check(ComplexPoint(0.8, 37.5), 1e-9)
+        sample = _one_sample(0.8, 37.5, 1e-9)
         assert sample.margin == sample.eta_abs - sample.floor_value
 
 
