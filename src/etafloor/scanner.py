@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .exceptions import (
     DegenerateGeometryError,
     DomainError,
     EtaFloorError,
+    NonConvergenceError,
     NoZeroFoundError,
 )
 
@@ -75,6 +77,7 @@ SCAN_REFINE_XTOL = 1e-6
 DEFAULT_ZERO_TOL = 1e-8
 ZERO_REFINE_XTOL = 1e-10
 ZERO_GRID_STEP = 0.01
+ZERO_EVAL_TOL_FLOOR = 1e-12  # least tol/100 a zero search evaluates eta to
 GOLDEN_MAX_ITER = 200
 ZERO_GEOMETRY_TOL = 1e-10
 ZERO_ENGINE_GAP_LIMIT = 1e-9
@@ -351,7 +354,10 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
         raise DomainError(f"grid step must be > 0, got {step}")
     if not all(map(math.isfinite, (lo, hi, step, (hi - lo) / step))):
         raise DomainError(f"grid {lo}:{hi} with step {step} has no finite point count")
-    return int(math.floor((hi - lo) / step + 1e-9)) + 1
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > sys.maxsize:
+        raise DomainError(f"grid {lo}:{hi} with step {step} has more points than a list can hold")
+    return count
 
 
 def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step: float,
@@ -488,7 +494,11 @@ def _zero_candidates(
     """
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
-    eval_tol = max(tol / 100.0, 1e-12)
+    eval_tol = tol / 100.0
+    if eval_tol < ZERO_EVAL_TOL_FLOOR:
+        raise NonConvergenceError(
+            f"zero tol={tol:g} needs eta to tol/100={eval_tol:g}, below the "
+            f"{ZERO_EVAL_TOL_FLOOR:g} floor of a zero search")
     count = _grid_count(t_lo, t_hi, grid_step)
     values, = _sample_lines(_abs_value, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
     _raise_first_error(values)

@@ -233,6 +233,17 @@ class TestUsageErrors:
         (["pca", "--s", "0.5+14i", "--tol", "1e-320"], 3,
          "numerical failure: euler engine cannot certify tol=9.99989e-321 at s=0.5+14j "
          "(best estimate 3.46468e-13)"),
+        # a grid of more points than a list can hold is refused before any is built
+        (["scan", "--alpha", "0.75", "--beta", "0:0.02", "--step", "1e-300"], 64,
+         "invalid parameter: grid 0.0:0.02 with step 1e-300 has more points than a list can hold"),
+        (["scan", "--alpha", "0.75:0.8", "--alpha-step", "1e-300", "--beta", "0:0.02"], 64,
+         "invalid parameter: grid 0.75:0.8 with step 1e-300 has more points than a list can hold"),
+        (["pca", "--alpha", "0.75", "--beta", "0:0.02", "--step", "1e-300"], 64,
+         "invalid parameter: grid 0.0:0.02 with step 1e-300 has more points than a list can hold"),
+        # a zero search evaluates eta to tol/100, which may not go below 1e-12
+        (["zeros", "--t", "14:14.2", "--tol", "1e-20"], 3,
+         "numerical failure: zero tol=1e-20 needs eta to tol/100=1e-22, below the 1e-12 floor "
+         "of a zero search"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

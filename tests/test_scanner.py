@@ -499,6 +499,25 @@ class TestZeros:
         with pytest.raises(DomainError, match=r"^grid step must be > 0, got "):
             survey_zeros(0.0, 1.0, grid_step=grid_step)
 
+    def test_grid_beyond_a_list_is_refused(self):
+        with pytest.raises(DomainError, match=r"^grid 0:1 with step 1e-300 has more points than "):
+            survey_zeros(0, 1, grid_step=1e-300)
+
+    def test_tol_under_the_evaluation_floor_is_refused_before_sampling(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        monkeypatch.setattr(scanner_mod, "_sample_lines", None)  # sampling would be a TypeError
+        for search in (survey_zeros, locate_zero):
+            with pytest.raises(NonConvergenceError, match=r"below the 1e-12 floor"):
+                search(14.0, 14.2, 1e-20)
+            with pytest.raises(NonConvergenceError, match=r"^zero tol=9\.9e-11 needs "):
+                search(14.0, 14.2, 9.9e-11)
+
+    def test_tol_at_the_evaluation_floor_finds_the_first_zero(self):
+        record, = survey_zeros(14.0, 14.2, 1e-10)  # 1e-10 / 100 == 1e-12 exactly
+        assert record.t == pytest.approx(ZERO_T1, abs=1e-5)
+        assert record.residual < 1e-10
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_survey_raises_first_uncertified_point(self, workers):
         with pytest.raises(NonConvergenceError, match=r"s=0\.5\+4400j"):
