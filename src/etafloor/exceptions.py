@@ -35,10 +35,6 @@ class SingularityError(IllConditionedError):
     """Evaluation requested inside the exclusion radius of the pole at s = 1."""
 
 
-class SequenceContractError(EtaFloorError, ValueError):
-    """A caller-supplied sequence violated the positive/decreasing/vanishing contract."""
-
-
 class NoZeroFoundError(EtaFloorError):
     """A zero bracket contains no point with residual below the acceptance tolerance."""
 

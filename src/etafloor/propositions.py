@@ -10,12 +10,14 @@
    Only these orderings are asserted; the circle modulus sqrt(2)*r at t = pi/4
    is deliberately not compared against a or b.
 5. the alternating-series remainder bound |sum_{n>=m} (-1)^(n+1) a_n| <= a_m
-   for positive, monotone decreasing, vanishing a_n.
+   for positive, monotone decreasing, vanishing a_n, checked on the leading
+   terms a_1..a_M and the series limit.
 
 Each check returns the compared quantities plus a verdict instead of a bare
-boolean so failures stay diagnosable.  Checks 1-4 work elementwise on arrays (a
-scalar call is a batch of one), and the seeded campaigns behind ``props``
-(``run_all_suites``) are those checks on seeded arrays, reduced to a verdict.
+boolean so failures stay diagnosable.  Every check works on arrays (a scalar
+call, or one sequence, is a batch of one), and the seeded campaigns behind
+``props`` (``run_all_suites``) are those checks on seeded arrays, reduced to a
+verdict.
 
 Equality slack everywhere: 1e-12 scaled by (1 + magnitude of the operands).
 """
@@ -24,26 +26,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .eta import crvz_reference_sum
-from .exceptions import DomainError, NonConvergenceError, SequenceContractError
+from .exceptions import DomainError
 
 __all__ = [
     "EllipseParams",
     "CircleDecomposition",
     "ReverseTriangleCheck",
     "AdditiveModulusCheck",
-    "AltTailBound",
+    "AltTailCheck",
     "PropSuiteResult",
     "reverse_triangle_check",
     "ellipse_point",
     "additive_modulus_check",
     "circle_decomposition",
     "reconstruction_max_error",
-    "alt_tail_bound",
+    "alt_tail_check",
     "run_prop1_suite",
     "run_prop2_suite",
     "run_prop3_suite",
@@ -103,10 +105,9 @@ class AdditiveModulusCheck(NamedTuple):
     iff_condition: bool  # u*v = 0 and u + v >= 0, within the slack
 
 
-class AltTailBound(NamedTuple):
-    tail: float
-    bound: float
-    holds: bool
+class AltTailCheck(NamedTuple):
+    ordered: bool  # odd partial sums fall and even ones rise, within the slack
+    excess: float  # max over m of |limit - S_(m-1)| - a_m; the bound holds where <= 0
 
 
 def reverse_triangle_check(z1: complex, z2: complex) -> ReverseTriangleCheck:
@@ -150,9 +151,9 @@ def circle_decomposition(r: float, delta: float) -> CircleDecomposition:
     )
 
 
-def reconstruction_max_error(dec: CircleDecomposition, n_points: int = 4096) -> float:
-    """max_t |r cos t + r sin t - a cos t - b sin(t + phi)| over a uniform grid."""
-    t = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+def reconstruction_max_error(dec: CircleDecomposition) -> float:
+    """max_t |r cos t + r sin t - a cos t - b sin(t + phi)| over 4096 uniform t."""
+    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     r, a, b, phi = (np.asarray(x)[..., None] for x in (dec.r, dec.a, dec.b, dec.phi))
     rhs = b * np.sin(t + phi)
     rhs += a * np.cos(t)  # in place: each batch-sized temporary costs page faults
@@ -160,56 +161,21 @@ def reconstruction_max_error(dec: CircleDecomposition, n_points: int = 4096) -> 
     return np.max(np.abs(err, out=err), axis=-1)
 
 
-def alt_tail_bound(
-    sequence: Callable[[np.ndarray], np.ndarray],
-    m: int,
-    *,
-    slack: float = 1e-7,
-) -> AltTailBound:
-    """Tail sum_{n>=m} (-1)^(n+1) a_n versus the remainder bound a_m.
+def alt_tail_check(a, limit) -> AltTailCheck:
+    """Remainder bound |limit - S_(m-1)| <= a_m for m = 1..M, with S_0 = 0.
 
-    ``sequence`` maps an integer index array to term values and must describe a
-    positive, monotone decreasing, vanishing sequence (caller contract; spot
-    checked on the first 10^4 indices).  The tail is summed
-    until a_N < slack and the final pair of partial sums is averaged, so the
-    returned value is good to ~a_N'/2 where successive differences have shrunk
-    far below the slack itself.
+    ``a`` holds the leading terms a_1..a_M on its last axis and ``limit`` is
+    each sequence's sum; S_m = a_1 - a_2 + ... +- a_m are the partial sums.
     """
-    m = int(m)
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if not (slack > 0.0):
-        raise DomainError("slack must be > 0")
-    probe = np.asarray(sequence(np.arange(m, m + 10_000, dtype=np.int64)),
-                       dtype=np.float64)
-    if probe.size and (not np.all(probe > 0.0) or np.any(np.diff(probe) > 0.0)):
-        raise SequenceContractError(
-            "sequence must be positive and monotone decreasing on the sampled range"
-        )
-    bound = float(probe[0])
-
-    total = 0.0
-    last_a = bound
-    n0 = m
-    chunk = 1 << 16
-    max_n = m + (1 << 25)
-    while last_a >= slack:
-        if n0 > max_n:
-            raise NonConvergenceError(
-                f"sequence did not drop below slack {slack:g} within {max_n - m} terms"
-            )
-        idx = np.arange(n0, min(n0 + chunk, max_n + 1), dtype=np.int64)
-        a = np.asarray(sequence(idx), dtype=np.float64)
-        signs = np.where(idx % 2 == 1, 1.0, -1.0)
-        total += float(np.sum(signs * a))
-        last_a = float(a[-1])
-        n0 = int(idx[-1]) + 1
-        chunk = min(2 * chunk, 1 << 22)
-    # average the two enclosing partial sums: S_N and S_N + next term
-    next_term = float(np.asarray(sequence(np.array([n0], dtype=np.int64)))[0])
-    next_sign = 1.0 if n0 % 2 == 1 else -1.0
-    tail = total + 0.5 * next_sign * next_term
-    return AltTailBound(tail, bound, abs(tail) <= bound + _slack(bound))
+    a = np.asarray(a, dtype=np.float64)
+    signs = np.where(np.arange(1, a.shape[-1] + 1) % 2 == 1, 1.0, -1.0)
+    partials = np.cumsum(signs * a, axis=-1)
+    slack = BASE_SLACK * (1.0 + a[..., :1])
+    unordered = (np.any(np.diff(partials[..., 0::2], axis=-1) > slack, axis=-1)
+                 | np.any(np.diff(partials[..., 1::2], axis=-1) < -slack, axis=-1))
+    prev = np.concatenate((np.zeros_like(a[..., :1]), partials[..., :-1]), axis=-1)
+    excess = np.max(np.abs(np.asarray(limit)[..., None] - prev) - a, axis=-1)
+    return AltTailCheck(~unordered, excess)
 
 
 # ----------------------------------------------------------------------------
@@ -322,7 +288,6 @@ def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
             if family[k] == 2:
                 c[k] = rng.uniform(0.0, 5.0)
     n = np.arange(1.0, 65.0)  # the reference sum's 64 terms; a_n for n <= max_m + 1 head them
-    signs = np.where(np.arange(1, max_m + 2) % 2 == 1, 1.0, -1.0)
     failures = 0
     worst = 0.0
     chunk = 512
@@ -333,19 +298,12 @@ def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
         terms[f == 0] = n ** -pk[f == 0]
         terms[f == 1] = qk[f == 1] ** n
         terms[f == 2] = (n + ck[f == 2]) ** -pk[f == 2]
-        a = terms[:, : max_m + 1]
-        limit = crvz_reference_sum(terms)
-        partials = np.cumsum(signs * a, axis=1)
-        slack = BASE_SLACK * (1.0 + a[:, :1])
-        unordered = (np.any(np.diff(partials[:, 0::2], axis=1) > slack, axis=1)
-                     | np.any(np.diff(partials[:, 1::2], axis=1) < -slack, axis=1))
-        # S_m = limit - S^{m-1}; S^0 = 0
-        prev = np.concatenate((np.zeros((f.size, 1)), partials[:, :max_m]), axis=1)
-        violation = np.max(np.abs(limit[:, None] - prev) - a, axis=1)[~unordered]
-        failures += int(np.sum(unordered))
+        check = alt_tail_check(terms[:, : max_m + 1], crvz_reference_sum(terms))
+        violation = check.excess[check.ordered]
+        failures += int(np.sum(~check.ordered))
         if violation.size:
             worst = max(worst, float(np.max(violation)))
-            failures += int(np.sum(violation > 1e-9 * (1.0 + a[~unordered, 0])))
+            failures += int(np.sum(violation > 1e-9 * (1.0 + terms[check.ordered, 0])))
     return PropSuiteResult("prop5", cases, failures, worst, seed)
 
 

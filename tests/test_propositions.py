@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etafloor.exceptions import DomainError, NonConvergenceError, SequenceContractError
+from etafloor.exceptions import DomainError
 from etafloor.propositions import (
     EllipseParams,
     PropSuiteResult,
     additive_modulus_check,
-    alt_tail_bound,
+    alt_tail_check,
     circle_decomposition,
     ellipse_point,
     reconstruction_max_error,
@@ -122,7 +122,7 @@ class TestCircleDecomposition:
         assert dec.a == 1.5
         assert dec.b == pytest.approx(math.sqrt(1.25))
         assert dec.phi == pytest.approx(-math.atan(0.5))
-        assert reconstruction_max_error(dec, 1000) <= 1e-12
+        assert reconstruction_max_error(dec) <= 1e-12
 
     def test_negative_offset_ordering(self):
         dec = circle_decomposition(2.0, -1.0)
@@ -212,45 +212,39 @@ class TestBatchOfOne:
             circle_decomposition(r, np.where(np.arange(self.N) == 7, 2.0 * r, delta))
 
 
-class TestAltTailBound:
-    def test_harmonic_from_2(self):
-        # oracle: direct summation to a_N < slack plus bracket midpoint
-        check = alt_tail_bound(lambda n: 1.0 / n, 2, slack=1e-6)
-        assert check.tail == pytest.approx(LN2 - 1.0, abs=1e-9)
-        assert check.bound == 0.5
-        assert check.holds
+class TestAltTailCheck:
+    N = np.arange(1.0, 21.0)  # every remainder bound for m = 1..20
 
-    def test_harmonic_from_1(self):
-        check = alt_tail_bound(lambda n: 1.0 / n, 1, slack=1e-6)
-        assert check.tail == pytest.approx(LN2, abs=1e-9)
-        assert check.bound == 1.0
-        assert check.holds
+    @pytest.mark.parametrize("a, limit", [
+        (1.0 / N, LN2),
+        (1.0 / N**2, math.pi**2 / 12.0),
+        (0.5**N, 0.5 / 1.5),
+    ], ids=["harmonic", "inverse_square", "geometric"])
+    def test_closed_form_sums(self, a, limit):
+        check = alt_tail_check(a, limit)
+        assert check.ordered
+        assert check.excess < 0.0
 
-    def test_inverse_square_from_3(self):
-        check = alt_tail_bound(lambda n: 1.0 / n**2, 3, slack=1e-9)
-        assert abs(check.tail) <= 1.0 / 9.0
-        assert check.bound == pytest.approx(1.0 / 9.0)
-        assert check.holds
+    def test_bumped_sequence_is_unordered(self):
+        a = np.where(self.N % 7 == 0, 2.0, 1.0 / self.N)
+        assert not alt_tail_check(a, LN2).ordered
 
-    def test_contract_violation(self):
-        with pytest.raises(SequenceContractError):
-            alt_tail_bound(lambda n: np.where(n % 7 == 0, 2.0, 1.0 / n), 1)
-        with pytest.raises(SequenceContractError):
-            alt_tail_bound(lambda n: -1.0 / n, 1)
+    def test_wrong_limit_exceeds_the_bound(self):
+        check = alt_tail_check(1.0 / self.N, LN2 + 1.0)
+        assert check.ordered
+        assert check.excess > 0.0
 
-    def test_m_validation(self):
-        with pytest.raises(DomainError):
-            alt_tail_bound(lambda n: 1.0 / n, 0)
-
-    def test_slack_must_be_positive(self):
-        with pytest.raises(DomainError, match="^slack must be > 0$"):
-            alt_tail_bound(lambda n: 1.0 / n, 1, slack=0.0)
-
-    def test_sequence_above_the_slack_does_not_converge(self):
-        # a constant sequence is positive and (weakly) decreasing, and never drops
-        with pytest.raises(NonConvergenceError, match="^sequence did not drop below slack 0.5 "
-                                                      "within 33554432 terms$"):
-            alt_tail_bound(lambda n: np.ones(n.shape), 1, slack=0.5)
+    def test_one_sequence_is_a_batch_of_one(self):
+        rng = np.random.default_rng(105)
+        p = rng.uniform(0.6, 3.0, (200, 1))
+        a = (self.N + rng.uniform(0.0, 5.0, (200, 1))) ** -p
+        a[:5, 6] = 2.0  # unordered rows too
+        limit = rng.uniform(-1.0, 1.0, 200)
+        batch = alt_tail_check(a, limit)
+        assert not batch.ordered[:5].any() and batch.ordered[5:].all()
+        for i in range(200):
+            one = alt_tail_check(a[i], float(limit[i]))
+            assert (batch.ordered[i], batch.excess[i]) == (one.ordered, one.excess), i
 
 
 class TestSuites:
