@@ -159,6 +159,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     ns = _build_parser().parse_args(argv)
     if ns.command == "props" and ns.cases < 1:
         raise UsageError("--cases must be >= 1")
+    if ns.command == "props" and ns.seed < 0:  # every suite seeds numpy with seed + k
+        raise UsageError("--seed must be >= 0")
     if ns.command == "pca":
         if (ns.s is None) == (ns.alpha_range is None):
             raise UsageError("pca needs either --s or --alpha with --beta")
@@ -228,8 +230,6 @@ def _run_pca(cfg: argparse.Namespace) -> int:
         alpha = cfg.alpha_range[0]
         lo, hi = cfg.beta_range
         step = 1.0 if cfg.step is None else cfg.step
-        if not (step > 0.0):
-            raise UsageError("--step must be > 0")
         count = _grid_count(lo, hi, step)
         points = [ComplexPoint(alpha, lo + i * step) for i in range(count)]
     results = eta_line(points[0].alpha, [p.beta for p in points], cfg.tol, cfg.engine)

@@ -370,8 +370,6 @@ def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step:
         raise DomainError("alpha must be finite")
     if beta_max < beta_min:
         raise DomainError("beta range is empty (beta_max < beta_min)")
-    if not (step > 0.0):
-        raise DomainError("step must be > 0")
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
     if tol == math.inf:  # no margin is below -inf
@@ -457,12 +455,8 @@ def scan_grid(
     """scan_line over an alpha grid, with global extremes; the grid points of
     every line go through one process pool."""
     a_lo, a_hi = alpha_range
-    if not (a_lo > 0.0):
-        raise DomainError("alpha range must lie in (0, inf)")
     if a_hi < a_lo:
         raise DomainError("alpha range is empty (hi < lo)")
-    if not (alpha_step > 0.0):
-        raise DomainError("alpha_step must be > 0")
     alphas = [a_lo + j * alpha_step for j in range(_grid_count(a_lo, a_hi, alpha_step))]
     return GridReport.from_lines(
         _scan_lines(alphas, beta_range[0], beta_range[1], beta_step, tol, workers, engine))

@@ -112,6 +112,7 @@ class TestUsageErrors:
         (["eval", "--s=-1+0i"], 64,
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-1.0"),
         (["props", "--cases", "0"], 64, "usage error: --cases must be >= 1"),
+        (["props", "--seed", "-1"], 64, "usage error: --seed must be >= 0"),
         (["props", "--cases", "x"], 64, "usage error: argument --cases: invalid int value: 'x'"),
         (["pca"], 64, "usage error: pca needs either --s or --alpha with --beta"),
         (["pca", "--s", "1+0i", "--alpha", "0.5"], 64,
@@ -120,7 +121,7 @@ class TestUsageErrors:
         (["pca", "--alpha", "0.5:0.6", "--beta", "0:1"], 64,
          "usage error: pca line mode takes a single alpha"),
         (["pca", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
-         "usage error: --step must be > 0"),
+         "invalid parameter: grid step must be > 0, got 0.0"),
         (["pca", "--s", "1+0i", "--tol", "-1"], 64, "usage error: --tol must be > 0"),
         (["scan", "--beta", "0:1"], 64,
          "usage error: the following arguments are required: --alpha"),
@@ -134,9 +135,9 @@ class TestUsageErrors:
          "usage error: --tol must be > 0"),
         (["scan", "--alpha", "0", "--beta", "0:1"], 64, "invalid parameter: alpha must be > 0"),
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
-         "invalid parameter: step must be > 0"),
+         "invalid parameter: grid step must be > 0, got 0.0"),
         (["scan", "--alpha", "0.5:0.6", "--alpha-step", "0", "--beta", "0:1"], 64,
-         "invalid parameter: alpha_step must be > 0"),
+         "invalid parameter: grid step must be > 0, got 0.0"),
         (["zeros", "--t", "5:1"], 64, "usage error: t range '5:1' is empty (hi < lo)"),
         (["zeros", "--t", "0:1", "--workers", "0"], 64, "usage error: --workers must be >= 1"),
         (["zeros", "--t", "1:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
@@ -162,7 +163,7 @@ class TestUsageErrors:
         (["scan", "--alpha", "0.5", "--beta", "-1:-2"], 64,
          "usage error: beta range '-1:-2' is empty (hi < lo)"),
         (["scan", "--alpha", "-0.5:0.5", "--beta", "0:1"], 64,
-         "invalid parameter: alpha range must lie in (0, inf)"),
+         "invalid parameter: alpha must be > 0"),
         (["zeros", "--t", "-1:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
         (["eval", "--s", "--tol", "1e-9"], 64, "usage error: argument --s: expected one argument"),
         (["pca", "--s", "1+0i", "--beta", "garbage"], 64,
