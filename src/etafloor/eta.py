@@ -575,10 +575,9 @@ class _BlockLine:
                     out[k] = EvalResult(value, est, "accel", n)
 
 
-def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -> list:
+def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -> list[list]:
     """eta_lines on at most BLOCK_POINTS betas of each line alpha, for the
-    engine "euler", "accel" or "checked": the results line after line, so
-    result k of line j stands at j*len(betas) + k.
+    engine "euler", "accel" or "checked": one list of results per line.
 
     Sub-blocks are an even cut, as many rows each as fit in BLOCK_ELEMENTS at
     the widest row any line needs, and each builds one phase matrix, as wide
@@ -599,7 +598,7 @@ def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -
         phases = _phases(betas[r0:r1], _log_range(max(widths[r0:r1])))
         for line in lines:
             line.evaluate(r0, r1, phases)
-    return [result for line in lines for result in line.out]
+    return [line.out for line in lines]
 
 
 def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked") -> list[list]:
@@ -632,8 +631,8 @@ def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked
     for start in range(0, len(betas), BLOCK_POINTS):
         block = betas[start : start + BLOCK_POINTS]
         results = _eval_block([alphas[j] for j in shared], block, tol, engine)
-        for i, j in enumerate(shared):
-            out[j] += results[i * len(block) : (i + 1) * len(block)]
+        for j, line in zip(shared, results):
+            out[j] += line
     return out
 
 

@@ -261,9 +261,11 @@ class TestScanLine:
             return beta != 160.0 + round((beta - 160.0) / 0.01) * 0.01
 
         def failing(alpha, betas, tol, engine):
-            return [CrossCheckError("injected", gap=1.0, budget=0.0)
-                    if 163.0 < beta < 163.2 and off_grid(beta) else res
-                    for beta, res in zip(betas, real_block(alpha, betas, tol, engine))]
+            out = real_block(alpha, betas, tol, engine)
+            for k, beta in enumerate(betas):
+                if 163.0 < beta < 163.2 and off_grid(beta):
+                    out[0][k] = CrossCheckError("injected", gap=1.0, budget=0.0)
+            return out
 
         monkeypatch.setattr(eta_mod, "_eval_block", failing)
         report = scan_line(0.75, 160.0, 166.0, 0.01)
@@ -542,9 +544,9 @@ class TestZeros:
                 if t == round(t / ZERO_GRID_STEP) * ZERO_GRID_STEP:
                     continue  # grid points are left alone
                 if abs(t - ZERO_T1) < 1e-4:
-                    out[k] = NonConvergenceError(f"injected low at t={t!r}")
+                    out[0][k] = NonConvergenceError(f"injected low at t={t!r}")
                 elif 20.9 < t < 21.1:
-                    out[k] = CrossCheckError(f"injected high at t={t!r}")
+                    out[0][k] = CrossCheckError(f"injected high at t={t!r}")
             return out
 
         monkeypatch.setattr(eta_mod, "_eval_block", failing)
