@@ -69,9 +69,9 @@ class ZerosReport:
 # a cell is text, an int, or a float(), which "%s" writes as its shortest round trip
 _SCHEMAS = {
     LineScanReport: ("line_scan", SCAN_CSV_HEADER, lambda r: r.samples, lambda b: (
-        float(b.s.alpha), float(b.s.beta), float(b.eta_abs), float(b.floor_value),
+        float(b.s.alpha), float(b.s.beta), float(b.eta_abs), float(b.floor),
         float(b.margin), float(b.tail_abs), float(b.tail_bound), b.leading.value,
-        "true" if b.tail_inequality_holds else "false")),
+        "true" if b.tail_ineq_holds else "false")),
     EvalReport: ("eval", EVAL_CSV_HEADER, lambda r: (r,), lambda r: (
         float(r.s.alpha), float(r.s.beta), float(r.result.value.real),
         float(r.result.value.imag), float(r.result.abs_error_estimate), r.result.method,
@@ -85,25 +85,24 @@ _SCHEMAS = {
         float(d.w2), float(d.variance1), float(d.variance2), float(d.inner_product),
         d.leading.value)),
     ZerosReport: ("zeros", ZEROS_CSV_HEADER, lambda r: r.rows, lambda z: (
-        float(z.record.t), float(z.record.residual), float(z.record.engine_gap),
-        float(z.record.bracket[0]), float(z.record.bracket[1]), float(z.angle),
+        float(z.t), float(z.residual), float(z.engine_gap), float(z.bracket[0]),
+        float(z.bracket[1]), float(z.angle),
         "true" if z.in_claimed_range else "false")),
 }
 _SCHEMAS[GridReport] = ("grid_scan", SCAN_CSV_HEADER,  # the rows of every line, in order
                         lambda r: [b for ln in r.lines for b in ln.samples],
                         _SCHEMAS[LineScanReport][3])
 _REPORT_OF_KIND = {schema[0]: cls for cls, schema in _SCHEMAS.items()}
-# JSON's departures from the field layout: renamed keys, members inlined into their parent
-_RENAMED = {"floor_value": "floor", "tail_inequality_holds": "tail_ineq_holds"}
-_INLINED = {(EvalReport, "result"), (ZeroRow, "record")}
+# JSON's one departure from the field layout: members inlined into their parent
+_INLINED = {(EvalReport, "result")}
 
 
 @functools.cache
-def _plan(cls) -> tuple[tuple[str, str, bool, typing.Any, typing.Callable], ...]:
-    """(attribute, JSON key, inlined, type, reader) per field, in declared order."""
+def _plan(cls) -> tuple[tuple[str, bool, typing.Any, typing.Callable], ...]:
+    """(field name = JSON key, inlined, type, reader) per field, in declared order."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, _RENAMED.get(f.name, f.name), (cls, f.name) in _INLINED,
-                  hints[f.name], _reader(hints[f.name])) for f in dataclasses.fields(cls))
+    return tuple((f.name, (cls, f.name) in _INLINED, hints[f.name], _reader(hints[f.name]))
+                 for f in dataclasses.fields(cls))
 
 
 def _json_default(value, out: dict | None = None):
@@ -113,11 +112,11 @@ def _json_default(value, out: dict | None = None):
     cls = value.__class__
     if out is None:
         out = {"kind": _SCHEMAS[cls][0], "schema": SCHEMA_VERSION} if cls in _SCHEMAS else {}
-    for name, key, inlined, _, _ in _plan(cls):
+    for name, inlined, _, _ in _plan(cls):
         if inlined:
             _json_default(getattr(value, name), out)
         else:
-            out[key] = getattr(value, name)
+            out[name] = getattr(value, name)
     return out
 
 
@@ -151,8 +150,8 @@ def _reader(hint):
 
 def _from_json(cls, obj):
     # a JSON value that already has its field's type needs no reader
-    return cls(**{name: value if (value := obj if inlined else obj[key]).__class__ is hint
-                  else read(value) for name, key, inlined, hint, read in _plan(cls)})
+    return cls(**{name: value if (value := obj if inlined else obj[name]).__class__ is hint
+                  else read(value) for name, inlined, hint, read in _plan(cls)})
 
 
 def serialize_report(report, output_format: str = "json") -> bytes:
@@ -202,7 +201,7 @@ def merge_reports(reports: list):
         lines.sort(key=lambda ln: (ln.alpha, ln.beta_range))
         return GridReport.from_lines(lines)
     if all(isinstance(r, ZerosReport) for r in reports):
-        rows = sorted((row for r in reports for row in r.rows), key=lambda z: z.record.t)
+        rows = sorted((row for r in reports for row in r.rows), key=lambda z: z.t)
         return ZerosReport(
             t_range=(min(r.t_range[0] for r in reports), max(r.t_range[1] for r in reports)),
             tol=max(r.tol for r in reports),

@@ -87,12 +87,12 @@ ZERO_ENGINE_GAP_LIMIT = 1e-9
 class BoundSample:
     s: ComplexPoint
     eta_abs: float
-    floor_value: float
+    floor: float
     margin: float
     tail_abs: float
     tail_bound: float
     leading: LeadingComponent
-    tail_inequality_holds: bool
+    tail_ineq_holds: bool
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ class ZeroRecord:
 
 
 @dataclass(frozen=True)
-class ZeroRow:
-    record: ZeroRecord
+class ZeroRow(ZeroRecord):
     angle: float
     in_claimed_range: bool
 
@@ -168,7 +167,7 @@ def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
     """
     dec = decompose_from_eta(p, res.value)
     eta_abs = abs(res.value)
-    floor_value = bound_floor(p.alpha)
+    floor = bound_floor(p.alpha)
     t_abs = abs(dec.tail)
     t_bound = tail_bound(p.alpha)
     slack = res.abs_error_estimate + 1e-12 * (1.0 + t_bound)
@@ -179,12 +178,12 @@ def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
     return BoundSample(
         s=p,
         eta_abs=eta_abs,
-        floor_value=floor_value,
-        margin=eta_abs - floor_value,
+        floor=floor,
+        margin=eta_abs - floor,
         tail_abs=t_abs,
         tail_bound=t_bound,
         leading=dec.leading,
-        tail_inequality_holds=holds,
+        tail_ineq_holds=holds,
     )
 
 
@@ -309,16 +308,16 @@ class _ProbeAbs(float):
 def _refine_basins(
     values: Sequence[float], alpha: float, lo: float, step: float, xtol: float, tol: float,
     engine: str, whole: tuple[float, float] | None = None,
-) -> list[tuple[int | None, float, float, EvalResult | EtaFloorError]]:
-    """(i, x, |eta(alpha + ix)|, eta(alpha + ix)) at the golden-section minimum
-    of each grid basin, in basin order.
+) -> list[tuple[int | None, float, EvalResult | EtaFloorError]]:
+    """(i, x, eta(alpha + ix)) at the golden-section minimum of each grid
+    basin, in basin order.
 
     values[i] is the grid sample at x = lo + i*step (NaN where it failed); the
     basin of an interior local minimum i is [lo + (i-1)*step, lo + (i+1)*step].
     A grid without interior minima refines the bracket `whole`, if given, as i = None.
     Every basin advances in lockstep: each round evaluates the next probe of
     every unfinished basin with one eta_line call.  A basin whose probe fails
-    stops there, as (i, probe, NaN, the EtaFloorError).
+    stops there, as (i, probe, the EtaFloorError).
     """
     brackets = [(i, lo + (i - 1) * step, lo + (i + 1) * step) for i in _local_minima(values)]
     if whole is not None and not brackets:
@@ -332,17 +331,16 @@ def _refine_basins(
         still = []
         for j, res in zip(active, results):
             if isinstance(res, EtaFloorError):
-                refined[j] = (brackets[j][0], probes[j], math.nan, res)
+                refined[j] = (brackets[j][0], probes[j], res)
                 continue
             try:
                 probes[j] = searches[j].send(_ProbeAbs(res))
                 still.append(j)
             except StopIteration as done:
                 best_x, best_f = done.value
-                refined[j] = (brackets[j][0], best_x, float(best_f), best_f.result)
+                refined[j] = (brackets[j][0], best_x, best_f.result)
         active = still
     return refined
-
 
 
 # ----------------------------------------------------------------------------
@@ -392,14 +390,14 @@ def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, to
     # refine each basin whose grid point and both grid neighbours were sampled
     eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
     refined: list[BoundSample] = []
-    for i, x, x_abs, res in _refine_basins(eta_abs_values, alpha, beta_min, step,
-                                           SCAN_REFINE_XTOL, eval_tol, engine):
+    for i, x, res in _refine_basins(eta_abs_values, alpha, beta_min, step,
+                                    SCAN_REFINE_XTOL, eval_tol, engine):
         # a failed probe ends its basin, which keeps its grid sample
         if isinstance(res, EtaFloorError):
             failures.append(ScanFailure(ComplexPoint(alpha, x), type(res).__name__, str(res)))
         # keep only genuine improvements over the basin's grid sample (a probe that
         # lands on a grid beta gets its bits, and no grid sample in the bracket is lower)
-        elif x_abs < eta_abs_values[i]:
+        elif abs(res.value) < eta_abs_values[i]:
             refined.append(_bound_sample(ComplexPoint(alpha, x), res))
 
     merged = sorted(samples + refined, key=lambda smp: smp.s.beta)
@@ -475,16 +473,16 @@ def _engine_gap_at(t: float, eval_tol: float) -> float:
 
 def _zero_candidates(
     t_lo: float, t_hi: float, tol: float, grid_step: float, workers: int, engine: str,
-    whole_bracket: bool,
-) -> list[tuple[float, float, float]]:
-    """(t, residual, engine gap) at every refined minimum of |eta(1/2 + i t)|.
+    whole: tuple[float, float] | None = None,
+) -> list[ZeroRecord]:
+    """The record of every refined minimum of |eta(1/2 + i t)| on [t_lo, t_hi].
 
     The grid t_lo + i*grid_step is sampled in blocks (then the failed
     point of lowest index, if any, raises its error), every interior
     local minimum is refined by golden section (then the failed basin of
     lowest index, if any, raises its error), and the Euler/Chebyshev gap is
-    measured wherever the residual is below tol (elsewhere it is inf).  With
-    `whole_bracket`, a grid without interior minima refines [t_lo, t_hi] itself.
+    measured wherever the residual is below tol (elsewhere it is inf).  A grid
+    without interior minima refines the bracket `whole`, if given.
     """
     if not (tol > 0.0):
         raise DomainError("tol must be > 0")
@@ -497,10 +495,11 @@ def _zero_candidates(
     values, = _sample_lines(_abs_value, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
     _raise_first_error(values)
     refined = _refine_basins(values, 0.5, t_lo, grid_step, ZERO_REFINE_XTOL, eval_tol, engine,
-                             (t_lo, t_hi) if whole_bracket else None)
-    _raise_first_error([res for _, _, _, res in refined])
-    return [(t_star, residual, _engine_gap_at(t_star, eval_tol) if residual < tol else math.inf)
-            for _, t_star, residual, _ in refined]
+                             whole)
+    _raise_first_error([res for _, _, res in refined])
+    return [ZeroRecord(t, residual := abs(res.value),
+                       _engine_gap_at(t, eval_tol) if residual < tol else math.inf, (t_lo, t_hi))
+            for _, t, res in refined]
 
 
 def _raise_first_error(results: Sequence) -> None:
@@ -527,12 +526,8 @@ def survey_zeros(
     """
     if not (0.0 <= t_lo < t_hi):
         raise DomainError("need 0 <= t_lo < t_hi")
-    return [
-        ZeroRecord(t, residual, gap, (t_lo, t_hi))
-        for t, residual, gap in _zero_candidates(t_lo, t_hi, tol, grid_step, workers, engine,
-                                                 whole_bracket=False)
-        if gap <= ZERO_ENGINE_GAP_LIMIT
-    ]
+    return [record for record in _zero_candidates(t_lo, t_hi, tol, grid_step, workers, engine)
+            if record.engine_gap <= ZERO_ENGINE_GAP_LIMIT]
 
 
 def locate_zero(
@@ -551,22 +546,22 @@ def locate_zero(
     """
     if not (0.0 < t_lo < t_hi):
         raise DomainError("need 0 < t_lo < t_hi")
-    candidates = _zero_candidates(t_lo, t_hi, tol, ZERO_GRID_STEP, 1, engine, whole_bracket=True)
-    t_star, residual, gap = min(candidates, key=lambda c: (c[1], c[0]))
-    if residual >= tol:
+    best = min(_zero_candidates(t_lo, t_hi, tol, ZERO_GRID_STEP, 1, engine, (t_lo, t_hi)),
+               key=lambda z: (z.residual, z.t))
+    if best.residual >= tol:
         raise NoZeroFoundError(
             f"no point of [{t_lo}, {t_hi}] has |eta(1/2+it)| below {tol:g} "
-            f"(best residual {residual:g} at t={t_star!r})",
-            best_t=t_star,
-            best_residual=residual,
+            f"(best residual {best.residual:g} at t={best.t!r})",
+            best_t=best.t,
+            best_residual=best.residual,
         )
-    if gap > ZERO_ENGINE_GAP_LIMIT:
+    if best.engine_gap > ZERO_ENGINE_GAP_LIMIT:
         raise CrossCheckError(
-            f"engines disagree at candidate zero t={t_star!r}: gap {gap:g}",
-            gap=gap,
+            f"engines disagree at candidate zero t={best.t!r}: gap {best.engine_gap:g}",
+            gap=best.engine_gap,
             budget=ZERO_ENGINE_GAP_LIMIT,
         )
-    return ZeroRecord(t_star, residual, gap, (t_lo, t_hi))
+    return best
 
 
 def zero_geometry(record: ZeroRecord) -> ZeroRow:
@@ -574,13 +569,12 @@ def zero_geometry(record: ZeroRecord) -> ZeroRow:
     and the n = 2 term there, and whether it lies in [pi/2, 3*pi/2].
 
     At s0 = 1/2 + i t the conjugated series splits as u2 + R = eta_bar(s0) - 1
-    with u2 = -e^{i t ln 2}/sqrt(2); the reported angle is
-    arg(R) - arg(u2) normalized to [0, 2*pi).  Reported, not asserted.
+    with u2 = -e^{i t ln 2}/sqrt(2) and R the decomposition's tail3; the reported
+    angle is arg(R) - arg(u2) normalized to [0, 2*pi).  Reported, not asserted.
     """
     s0 = ComplexPoint(0.5, record.t)
-    eta_bar = eta_eval(s0, ZERO_GEOMETRY_TOL).value.conjugate()
     u2 = second_term(s0)
-    remainder = eta_bar - 1.0 - u2
+    remainder = decompose_from_eta(s0, eta_eval(s0, ZERO_GEOMETRY_TOL).value).tail3
     if abs(u2) < 1e-14 or abs(remainder) < 1e-14:
         raise DegenerateGeometryError(
             f"geometry vectors too small at t={record.t!r}: |u2|={abs(u2):g}, "
@@ -588,4 +582,5 @@ def zero_geometry(record: ZeroRecord) -> ZeroRow:
         )
     angle = (math.atan2(remainder.imag, remainder.real)
              - math.atan2(u2.imag, u2.real)) % (2.0 * math.pi)
-    return ZeroRow(record, angle, math.pi / 2.0 <= angle <= 3.0 * math.pi / 2.0)
+    return ZeroRow(record.t, record.residual, record.engine_gap, record.bracket, angle,
+                   math.pi / 2.0 <= angle <= 3.0 * math.pi / 2.0)

@@ -188,9 +188,8 @@ def test_criterion_8_scan_reproducibility_and_exit_contract(tmp_path, capsys):
     negative_rows = 0
     for row in rows:
         fields = row.split(",")
-        eta_abs, floor_value, margin = (float(fields[2]), float(fields[3]),
-                                        float(fields[4]))
-        margin_ok &= margin == eta_abs - floor_value
+        eta_abs, floor, margin = (float(fields[2]), float(fields[3]), float(fields[4]))
+        margin_ok &= margin == eta_abs - floor
         negative_rows += margin < -1e-9
 
     # the floor hypothesis fails near beta=163.1, so --strict must exit 2 and

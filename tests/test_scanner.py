@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +16,15 @@ from etafloor.exceptions import (
     NonConvergenceError,
     NoZeroFoundError,
 )
+from etafloor.reporting import SCAN_CSV_HEADER
 from etafloor.scanner import (
     SCAN_REFINE_XTOL,
     ZERO_GRID_STEP,
     ZERO_REFINE_XTOL,
+    BoundSample,
     ScanFailure,
+    ZeroRecord,
+    ZeroRow,
     _grid_count,
     _local_minima,
     _refine_basins,
@@ -72,17 +79,35 @@ class TestTailInequalityCheck:
         assert sample.tail_abs == pytest.approx(1 - LN2, abs=1e-10)
         assert sample.tail_bound == pytest.approx(SQRT2 / 2, abs=1e-15)
         assert sample.leading is LeadingComponent.W1
-        assert sample.tail_inequality_holds
+        assert sample.tail_ineq_holds
 
     def test_at_half(self):
         sample = _one_sample(0.5, 0.0, 1e-10)
         assert sample.tail_abs == pytest.approx(1 - ETA_HALF, abs=1e-9)
         assert sample.tail_bound == pytest.approx(1.0, abs=1e-15)
-        assert sample.floor_value == 0.0
+        assert sample.floor == 0.0
 
     def test_margin_is_exact_difference(self):
         sample = _one_sample(0.8, 37.5, 1e-9)
-        assert sample.margin == sample.eta_abs - sample.floor_value
+        assert sample.margin == sample.eta_abs - sample.floor
+
+
+class TestRowLayout:
+    """Scanner rows are declared as their reports print them."""
+
+    def test_scan_row_fields_are_the_csv_columns(self):
+        names = [f.name for f in fields(BoundSample)]
+        assert names[0] == "s"
+        assert names[1:] == SCAN_CSV_HEADER.split(",")[2:]
+
+    def test_zero_row_is_a_zero_record(self):
+        assert issubclass(ZeroRow, ZeroRecord)
+
+    def test_zero_row_fields_are_the_json_keys(self):
+        golden = Path(__file__).resolve().parent / "golden" / "zeros.json"
+        rows = json.loads(golden.read_text())["rows"]
+        assert rows
+        assert all(list(row) == [f.name for f in fields(ZeroRow)] for row in rows)
 
 
 class TestGoldenSection:
@@ -170,7 +195,7 @@ class TestRefineBasins:
         got = _refine_basins(values, alpha, lo, step, xtol, tol, "checked", whole)
         assert expected
         assert (expected[0][0] is None) == (len(values) < 3)
-        assert [row[:3] for row in got] == expected
+        assert [(i, x, abs(res.value)) for i, x, res in got] == expected
 
 
 class TestScanLine:
