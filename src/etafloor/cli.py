@@ -6,7 +6,8 @@ goes to --output (or stdout when omitted), human summaries go to stderr, and
 `eval` prints a human-readable line to stdout.
 
 Exit codes: 0 success/clean scan; 2 bound violation found under --strict;
-3 numerical cross-check or convergence failure; 64 usage error; 74 I/O error.
+3 numerical cross-check or convergence failure; 64 usage error or out of
+memory; 74 I/O error.
 `report --compare` exits 1 when the inputs differ.
 """
 
@@ -181,8 +182,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise UsageError("--compare needs exactly two input reports")
     if getattr(ns, "workers", 1) < 1:
         raise UsageError("--workers must be >= 1")
-    if hasattr(ns, "tol") and not (ns.tol > 0.0):
-        raise UsageError("--tol must be > 0")
     return ns
 
 
@@ -320,6 +319,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"etafloor: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # as a grid of more points than a list can hold
+        print(f"etafloor: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

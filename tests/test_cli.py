@@ -108,7 +108,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, code, message", [
         (["eval", "--s", "abc"], 64,
          "usage error: cannot parse complex literal 'abc' (expected a+bi)"),
-        (["eval", "--s", "1+0i", "--tol", "0"], 64, "usage error: --tol must be > 0"),
+        (["eval", "--s", "1+0i", "--tol", "0"], 64, "invalid parameter: tol must be > 0"),
         (["eval", "--s=-1+0i"], 64,
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-1.0"),
         (["props", "--cases", "0"], 64, "usage error: --cases must be >= 1"),
@@ -121,7 +121,7 @@ class TestUsageErrors:
          "usage error: pca line mode takes a single alpha"),
         (["pca", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
          "invalid parameter: grid step must be > 0, got 0.0"),
-        (["pca", "--s", "1+0i", "--tol", "-1"], 64, "usage error: --tol must be > 0"),
+        (["pca", "--s", "1+0i", "--tol", "-1"], 64, "invalid parameter: tol must be > 0"),
         (["scan", "--beta", "0:1"], 64,
          "usage error: the following arguments are required: --alpha"),
         (["scan", "--alpha", "a:b", "--beta", "0:1"], 64,
@@ -131,7 +131,7 @@ class TestUsageErrors:
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--workers", "0"], 64,
          "usage error: --workers must be >= 1"),
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--tol", "0"], 64,
-         "usage error: --tol must be > 0"),
+         "invalid parameter: tol must be > 0"),
         (["scan", "--alpha", "0", "--beta", "0:1"], 64, "invalid parameter: alpha must be > 0"),
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
          "invalid parameter: grid step must be > 0, got 0.0"),
@@ -158,7 +158,7 @@ class TestUsageErrors:
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-1.0"),
         (["eval", "--s", "-0.5i"], 64,
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=0.0"),
-        (["eval", "--s", "1+0i", "--tol", "-1e-3"], 64, "usage error: --tol must be > 0"),
+        (["eval", "--s", "1+0i", "--tol", "-1e-3"], 64, "invalid parameter: tol must be > 0"),
         (["scan", "--alpha", "0.5", "--beta", "-1:-2"], 64,
          "usage error: beta range '-1:-2' is empty (hi < lo)"),
         (["scan", "--alpha", "-0.5:0.5", "--beta", "0:1"], 64,
@@ -178,7 +178,7 @@ class TestUsageErrors:
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-inf"),
         (["eval", "--s", "-NaN"], 64,
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=nan"),
-        (["eval", "--s", "1+0i", "--tol", "-Inf"], 64, "usage error: --tol must be > 0"),
+        (["eval", "--s", "1+0i", "--tol", "-Inf"], 64, "invalid parameter: tol must be > 0"),
         (["eval", "--s", "-inform"], 64, "usage error: argument --s: expected one argument"),
         # an infinite or NaN number is refused before any arithmetic
         (["scan", "--alpha", "0.75", "--beta", "0:inf"], 64,
@@ -397,6 +397,18 @@ class TestPropsCommand:
         assert all(row.failures == 0 for row in report.rows)
         err = capsys.readouterr().err
         assert "prop5" in err
+
+    def test_out_of_memory_is_one_line_and_usage_exit(self, capsys, monkeypatch):
+        import etafloor.cli as cli_mod
+
+        def exhausted(cases, seed):
+            raise MemoryError("Unable to allocate 1 TiB")
+
+        monkeypatch.setattr(cli_mod, "run_all_suites", exhausted)
+        assert main(["props"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "etafloor: out of memory: Unable to allocate 1 TiB\n"
+        assert captured.out == ""
 
 
 class TestPcaCommand:
