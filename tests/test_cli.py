@@ -398,16 +398,21 @@ class TestPropsCommand:
         err = capsys.readouterr().err
         assert "prop5" in err
 
-    def test_out_of_memory_is_one_line_and_usage_exit(self, capsys, monkeypatch):
+    # numpy names the allocation it refused; the interpreter's own MemoryError is bare
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 1 TiB"), "Unable to allocate 1 TiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory_is_one_line_and_usage_exit(self, capsys, monkeypatch, error, message):
         import etafloor.cli as cli_mod
 
         def exhausted(cases, seed):
-            raise MemoryError("Unable to allocate 1 TiB")
+            raise error
 
         monkeypatch.setattr(cli_mod, "run_all_suites", exhausted)
         assert main(["props"]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == "etafloor: out of memory: Unable to allocate 1 TiB\n"
+        assert captured.err == f"etafloor: out of memory: {message}\n"
         assert captured.out == ""
 
 
