@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"etafloor: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:  # as a grid of more points than a list can hold
+    except MemoryError as exc:  # exits 64, as a grid too large for a list does
         print(f"etafloor: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
