@@ -73,8 +73,6 @@ def parse_range(text: str, name: str) -> tuple[float, float]:
             lo = hi = float(t)
     except ValueError:
         raise UsageError(f"cannot parse {name} range {text!r} (expected lo:hi)") from None
-    if hi < lo:
-        raise UsageError(f"{name} range {text!r} is empty (hi < lo)")
     return lo, hi
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "eta_euler",
     "eta_accel",
     "accel_stages_for",
+    "parameter_error",
     "eta_eval",
     "eta_line",
     "eta_lines",
@@ -195,8 +196,6 @@ def partial_sum_bracket(alpha: float, n_terms: int) -> tuple[float, float]:
     Even partial sums increase to the limit and odd ones decrease to it, so
     S_{2m} <= eta(alpha) <= S_{2m+1}; n_terms is rounded down to an even count.
     """
-    if not (alpha > 0.0):
-        raise DomainError("bracket requires alpha > 0")
     n_even = int(n_terms) - (int(n_terms) % 2)
     if n_even < 2:
         raise DomainError("need at least 2 terms for a bracket")
@@ -363,7 +362,7 @@ def accel_stages_for(s: PointLike, tol: float) -> int:
     """Smallest stage count (rounded to a multiple of 32) whose modelled
     truncation error clears tol."""
     p = _series_point(s)
-    error = _domain_error(p.alpha, tol, "accel")
+    error = parameter_error(p.alpha, tol, "accel")
     if error is not None:
         raise error
     return _stages(_log_total_variation(p.to_complex()), tol)
@@ -435,7 +434,8 @@ def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult | NonConve
     )
 
 
-def _domain_error(alpha, tol: float, engine: str) -> DomainError | None:
+def parameter_error(alpha, tol: float, engine: str) -> DomainError | None:
+    """The DomainError an evaluation on the line alpha at tol by engine raises, or None."""
     if not (alpha > 0.0):
         return DomainError(f"series evaluation requires Re(s) > 0, got alpha={alpha}")
     if not (tol > 0.0):
@@ -618,7 +618,7 @@ def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked
     out: list[list] = []
     shared = []  # the lines that go through _eval_block
     for alpha in alphas:
-        error = _domain_error(alpha, tol, engine)
+        error = parameter_error(alpha, tol, engine)
         if error is not None:
             out.append([error] * len(betas))
         elif engine == "partial":

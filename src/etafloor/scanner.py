@@ -44,6 +44,7 @@ from .eta import (
     eta_euler,
     eta_line,
     eta_lines,
+    parameter_error,
 )
 from .exceptions import (
     CrossCheckError,
@@ -352,6 +353,8 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
         raise DomainError(f"grid step must be > 0, got {step}")
     if not all(map(math.isfinite, (lo, hi, step, (hi - lo) / step))):
         raise DomainError(f"grid {lo}:{hi} with step {step} has no finite point count")
+    if hi < lo:
+        raise DomainError(f"grid {lo}:{hi} is empty (hi < lo)")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     if count > sys.maxsize:
         raise DomainError(f"grid {lo}:{hi} with step {step} has more points than a list can hold")
@@ -362,16 +365,8 @@ def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step:
                 tol: float, workers: int, engine: str) -> list[LineScanReport]:
     """The report of each line alpha; the grid points of every line are
     sampled through one process pool, then each line is refined in turn."""
-    if not (alphas[0] > 0.0):
-        raise DomainError("alpha must be > 0")
-    if not math.isfinite(alphas[0]):
-        raise DomainError("alpha must be finite")
-    if beta_max < beta_min:
-        raise DomainError("beta range is empty (beta_max < beta_min)")
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
-    if tol == math.inf:  # no margin is below -inf
-        raise DomainError(f"tol must be finite, got tol={tol}")
+    if (error := parameter_error(alphas[0], tol, engine)) is not None:
+        raise error
     eval_tol = min(tol, DEFAULT_SCAN_TOL)
     lines = _sample_lines(_bound_sample, alphas, beta_min, step,
                           _grid_count(beta_min, beta_max, step), workers, eval_tol, engine)
@@ -453,8 +448,6 @@ def scan_grid(
     """scan_line over an alpha grid, with global extremes; the grid points of
     every line go through one process pool."""
     a_lo, a_hi = alpha_range
-    if a_hi < a_lo:
-        raise DomainError("alpha range is empty (hi < lo)")
     alphas = [a_lo + j * alpha_step for j in range(_grid_count(a_lo, a_hi, alpha_step))]
     return GridReport.from_lines(
         _scan_lines(alphas, beta_range[0], beta_range[1], beta_step, tol, workers, engine))
@@ -484,8 +477,8 @@ def _zero_candidates(
     measured wherever the residual is below tol (elsewhere it is inf).  A grid
     without interior minima refines the bracket `whole`, if given.
     """
-    if not (tol > 0.0):
-        raise DomainError("tol must be > 0")
+    if (error := parameter_error(0.5, tol, engine)) is not None:
+        raise error
     eval_tol = tol / 100.0
     if eval_tol < ZERO_EVAL_TOL_FLOOR:
         raise NonConvergenceError(

@@ -63,8 +63,8 @@ class TestParsers:
     def test_ranges(self):
         assert parse_range("0:200", "beta") == (0.0, 200.0)
         assert parse_range("0.75", "alpha") == (0.75, 0.75)
-        with pytest.raises(UsageError):
-            parse_range("5:1", "beta")
+        # a reversed range is refused by the grid or the survey that reads it
+        assert parse_range("5:1", "beta") == (5.0, 1.0)
         with pytest.raises(UsageError):
             parse_range("a:b", "beta")
 
@@ -127,17 +127,18 @@ class TestUsageErrors:
         (["scan", "--alpha", "a:b", "--beta", "0:1"], 64,
          "usage error: cannot parse alpha range 'a:b' (expected lo:hi)"),
         (["scan", "--alpha", "0.5", "--beta", "2:1"], 64,
-         "usage error: beta range '2:1' is empty (hi < lo)"),
+         "invalid parameter: grid 2.0:1.0 is empty (hi < lo)"),
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--workers", "0"], 64,
          "usage error: --workers must be >= 1"),
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--tol", "0"], 64,
          "invalid parameter: tol must be > 0"),
-        (["scan", "--alpha", "0", "--beta", "0:1"], 64, "invalid parameter: alpha must be > 0"),
+        (["scan", "--alpha", "0", "--beta", "0:1"], 64,
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=0.0"),
         (["scan", "--alpha", "0.5", "--beta", "0:1", "--step", "0"], 64,
          "invalid parameter: grid step must be > 0, got 0.0"),
         (["scan", "--alpha", "0.5:0.6", "--alpha-step", "0", "--beta", "0:1"], 64,
          "invalid parameter: grid step must be > 0, got 0.0"),
-        (["zeros", "--t", "5:1"], 64, "usage error: t range '5:1' is empty (hi < lo)"),
+        (["zeros", "--t", "5:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
         (["zeros", "--t", "0:1", "--workers", "0"], 64, "usage error: --workers must be >= 1"),
         (["zeros", "--t", "1:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
         (["report", "a", "b", "c", "--compare"], 64,
@@ -160,9 +161,9 @@ class TestUsageErrors:
          "invalid parameter: series evaluation requires Re(s) > 0, got alpha=0.0"),
         (["eval", "--s", "1+0i", "--tol", "-1e-3"], 64, "invalid parameter: tol must be > 0"),
         (["scan", "--alpha", "0.5", "--beta", "-1:-2"], 64,
-         "usage error: beta range '-1:-2' is empty (hi < lo)"),
+         "invalid parameter: grid -1.0:-2.0 is empty (hi < lo)"),
         (["scan", "--alpha", "-0.5:0.5", "--beta", "0:1"], 64,
-         "invalid parameter: alpha must be > 0"),
+         "invalid parameter: series evaluation requires Re(s) > 0, got alpha=-0.5"),
         (["zeros", "--t", "-1:1"], 64, "invalid parameter: need 0 <= t_lo < t_hi"),
         (["eval", "--s", "--tol", "1e-9"], 64, "usage error: argument --s: expected one argument"),
         (["pca", "--s", "1+0i", "--beta", "garbage"], 64,
@@ -189,7 +190,8 @@ class TestUsageErrors:
          "invalid parameter: grid 0.0:1.0 with step inf has no finite point count"),
         (["scan", "--alpha", "0.5:inf", "--beta", "0:1"], 64,
          "invalid parameter: grid 0.5:inf with step 0.05 has no finite point count"),
-        (["scan", "--alpha", "inf", "--beta", "0:1"], 64, "invalid parameter: alpha must be finite"),
+        (["scan", "--alpha", "inf", "--beta", "0:1"], 64,
+         "invalid parameter: alpha and tol must be finite, got alpha=inf, tol=1e-09"),
         (["zeros", "--t", "0:inf"], 64,
          "invalid parameter: grid 0.0:inf with step 0.01 has no finite point count"),
         (["zeros", "--t", "0:1", "--tol", "inf"], 64,
@@ -217,7 +219,7 @@ class TestUsageErrors:
         (["pca", "--alpha", "0.5", "--beta", "0:1", "--theta", "-inf"], 64,
          "invalid parameter: theta must be finite, got theta=-inf"),
         (["scan", "--alpha", "0.75", "--beta", "0:1", "--tol", "inf"], 64,
-         "invalid parameter: tol must be finite, got tol=inf"),
+         "invalid parameter: alpha and tol must be finite, got alpha=0.75, tol=inf"),
         # 4**alpha overflows a float from alpha = 512 on
         (["scan", "--alpha", "512", "--beta", "0:0.02"], 64,
          "invalid parameter: alpha=512.0 is too large: 4**alpha overflows"),
@@ -246,6 +248,16 @@ class TestUsageErrors:
          "of a zero search"),
         # every campaign seeds numpy's default_rng, which refuses a negative seed
         (["props", "--cases", "10", "--seed", "-1"], 64, "usage error: --seed must be >= 0"),
+        # a reversed range is refused by the first grid that reads it
+        (["pca", "--alpha", "0.5", "--beta", "2:1"], 64,
+         "invalid parameter: grid 2.0:1.0 is empty (hi < lo)"),
+        (["scan", "--alpha", "0.6:0.5", "--beta", "0:1"], 64,
+         "invalid parameter: grid 0.6:0.5 is empty (hi < lo)"),
+        (["pca", "--alpha", "2:1", "--beta", "0:1"], 64,
+         "usage error: pca line mode takes a single alpha"),
+        # a zeros tol is refused before any grid point is sampled
+        (["zeros", "--t", "0:10000000", "--tol", "inf"], 64,
+         "invalid parameter: alpha and tol must be finite, got alpha=0.5, tol=inf"),
     ])
     def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

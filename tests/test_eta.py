@@ -78,7 +78,8 @@ class TestPartialSum:
             eta_partial_sum(1.0, MAX_PARTIAL_TERMS + 1)
 
     def test_bracket_refusals(self):
-        with pytest.raises(DomainError, match="^bracket requires alpha > 0$"):
+        with pytest.raises(DomainError,
+                           match=r"^series evaluation requires Re\(s\) > 0, got alpha=0.0$"):
             partial_sum_bracket(0.0, 10)
         with pytest.raises(DomainError, match="^need at least 2 terms for a bracket$"):
             partial_sum_bracket(1.0, 1)

@@ -257,6 +257,13 @@ class TestScanLine:
         with pytest.raises(DomainError, match="^tol must be > 0$"):
             scan_line(0.75, 0.0, 1.0, 0.1, tol=0.0)
 
+    def test_unknown_engine_is_refused_before_sampling(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        monkeypatch.setattr(scanner_mod, "_sample_lines", None)  # sampling would be a TypeError
+        with pytest.raises(DomainError, match=r"^unknown engine 'bogus'; expected one of "):
+            scan_line(0.75, 0.0, 1.0, 0.01, engine="bogus")
+
     def test_failed_sample_keeps_other_rows(self, monkeypatch):
         import etafloor.scanner as scanner_mod
 
@@ -424,8 +431,12 @@ class TestScanGrid:
             scan_grid((0.6, 0.8), (5.0, 1.0), 0.2, 0.1)
 
     def test_reversed_alpha_range_rejected(self):
-        with pytest.raises(DomainError, match=r"^alpha range is empty \(hi < lo\)$"):
+        with pytest.raises(DomainError, match=r"^grid 0.7:0.6 is empty \(hi < lo\)$"):
             scan_grid((0.7, 0.6), (0.0, 1.0), 0.05, 0.1)
+
+    def test_reversed_grid_is_refused(self):
+        with pytest.raises(DomainError, match=r"^grid 1.0:0.0 is empty \(hi < lo\)$"):
+            _grid_count(1.0, 0.0, 0.1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lines_equal_scan_line_near_2000(self, workers):
@@ -539,6 +550,16 @@ class TestZeros:
                 search(14.0, 14.2, 1e-20)
             with pytest.raises(NonConvergenceError, match=r"^zero tol=9\.9e-11 needs "):
                 search(14.0, 14.2, 9.9e-11)
+
+    def test_parameters_are_refused_before_sampling(self, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        monkeypatch.setattr(scanner_mod, "_sample_lines", None)  # sampling would be a TypeError
+        with pytest.raises(DomainError, match=r"^alpha and tol must be finite, got alpha=0.5, "
+                                              r"tol=inf$"):
+            survey_zeros(0, 1, tol=math.inf)
+        with pytest.raises(DomainError, match=r"^unknown engine 'bogus'; expected one of "):
+            survey_zeros(14.0, 14.2, engine="bogus")
 
     def test_tol_at_the_evaluation_floor_finds_the_first_zero(self):
         record, = survey_zeros(14.0, 14.2, 1e-10)  # 1e-10 / 100 == 1e-12 exactly
