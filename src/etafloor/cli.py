@@ -156,10 +156,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     combinations argparse cannot check raise UsageError.
     """
     ns = _build_parser().parse_args(argv)
-    if ns.command == "props" and ns.cases < 1:
-        raise UsageError("--cases must be >= 1")
-    if ns.command == "props" and ns.seed < 0:  # every suite seeds numpy with seed + k
-        raise UsageError("--seed must be >= 0")
     if ns.command == "pca":
         if (ns.s is None) == (ns.alpha_range is None):
             raise UsageError("pca needs either --s or --alpha with --beta")
@@ -178,8 +174,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         ns.t_range = parse_range(ns.t_range, "t")
     if ns.command == "report" and ns.compare and len(ns.inputs) != 2:
         raise UsageError("--compare needs exactly two input reports")
-    if getattr(ns, "workers", 1) < 1:
-        raise UsageError("--workers must be >= 1")
     return ns
 
 

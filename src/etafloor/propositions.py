@@ -195,9 +195,19 @@ class PropSuiteResult:
         return self.failures == 0
 
 
+def _campaign_rng(cases: int, seed: int) -> np.random.Generator:
+    """The generator a campaign of `cases` cases draws from; DomainError for
+    cases < 1 or seed < 0."""
+    if cases < 1:
+        raise DomainError(f"cases must be >= 1, got {cases}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def run_prop1_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     """|z1+z2| >= ||z1|-|z2|| on random pairs with |Re|, |Im| <= 1e3."""
-    rng = np.random.default_rng(seed)
+    rng = _campaign_rng(cases, seed)
     z1 = rng.uniform(-1e3, 1e3, cases) + 1j * rng.uniform(-1e3, 1e3, cases)
     z2 = rng.uniform(-1e3, 1e3, cases) + 1j * rng.uniform(-1e3, 1e3, cases)
     # include exact cancellation pairs, the equality case
@@ -215,7 +225,7 @@ def run_prop2_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     a - |(x,y)| >= (a-b) sin^2(t) / 2, which is the sharp form checked away
     from t in {0, pi}.
     """
-    rng = np.random.default_rng(seed)
+    rng = _campaign_rng(cases, seed)
     axes = np.exp(rng.uniform(-3.0, 3.0, (cases, 2)))
     a = np.max(axes, axis=1)
     b = np.min(axes, axis=1)
@@ -236,7 +246,7 @@ def run_prop2_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
 
 def run_prop3_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     """Equality sqrt(u^2+v^2) = u+v holds iff u*v = 0 and u+v >= 0."""
-    rng = np.random.default_rng(seed)
+    rng = _campaign_rng(cases, seed)
     u = rng.uniform(-100.0, 100.0, cases)
     v = rng.uniform(-100.0, 100.0, cases)
     third = cases // 3
@@ -251,7 +261,7 @@ def run_prop3_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
 
 def run_prop4_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     """Reconstruction identity to 1e-11*(1+r) plus the (a, b, r) orderings."""
-    rng = np.random.default_rng(seed)
+    rng = _campaign_rng(cases, seed)
     r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), cases))
     delta = r * rng.uniform(-1.0, 1.0, cases)
     failures = 0
@@ -274,7 +284,7 @@ def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     checked as arrays, 512 cases at a time.
     """
     max_m = 50  # |S_m| <= a_m is checked for m <= max_m
-    rng = np.random.default_rng(seed)
+    rng = _campaign_rng(cases, seed)
     family = np.empty(cases, dtype=np.int64)
     p = np.ones(cases)
     q = np.ones(cases)

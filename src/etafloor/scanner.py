@@ -215,10 +215,12 @@ def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float
     per block of BLOCK_POINTS indices, run in-process or through one process
     pool of no more processes than there are workers, blocks or usable CPUs.
     Each line's rows come back merged in index order."""
+    if not (workers >= 1):
+        raise DomainError(f"workers must be >= 1, got {workers}")
     starts = range(0, count, BLOCK_POINTS)
     block = partial(_grid_block, row, tuple(alphas), lo, step, count, tol, engine)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(max(1, int(workers)), len(starts), cpus or 1)
+    processes = min(int(workers), len(starts), cpus or 1)
     lines: list[list] = [[] for _ in alphas]
     with (ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext()) as pool:
         for rows in (pool.map if pool else map)(block, starts):

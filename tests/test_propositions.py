@@ -17,7 +17,10 @@ from etafloor.propositions import (
     reverse_triangle_check,
     run_all_suites,
     run_prop1_suite,
+    run_prop2_suite,
+    run_prop3_suite,
     run_prop4_suite,
+    run_prop5_suite,
 )
 
 LN2 = math.log(2.0)
@@ -256,6 +259,14 @@ class TestSuites:
         result = run_prop1_suite(cases=100_000, seed=11)
         assert result.passed
         assert result.worst_violation <= 1e-9 * (1.0 + 2e3)
+
+    @pytest.mark.parametrize("suite", [run_prop1_suite, run_prop2_suite, run_prop3_suite,
+                                       run_prop4_suite, run_prop5_suite])
+    def test_case_count_and_seed_are_refused(self, suite):
+        with pytest.raises(DomainError, match="^cases must be >= 1, got 0$"):
+            suite(0)
+        with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+            suite(10, -1)
 
     def test_suites_are_seed_deterministic(self):
         a = run_prop4_suite(cases=200, seed=5)

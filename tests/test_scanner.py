@@ -412,6 +412,15 @@ class TestPoolSize:
         assert survey_zeros(14.0, 17.0, workers=4) == serial  # 301 points, 3 blocks
         assert calls == [[3, [0, 128, 256]]]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_refused(self, calls, workers):
+        message = f"^workers must be >= 1, got {workers}$"
+        with pytest.raises(DomainError, match=message):
+            scan_line(0.75, 0.0, 1.0, 0.01, workers=workers)
+        with pytest.raises(DomainError, match=message):
+            survey_zeros(14.0, 14.3, workers=workers)
+        assert calls == []
+
 
 class TestScanGrid:
     def test_degenerate_grid_is_line(self):
