@@ -215,6 +215,45 @@ class TestBatchOfOne:
             circle_decomposition(r, np.where(np.arange(self.N) == 7, 2.0 * r, delta))
 
 
+def _one_shot_max_error(dec):
+    """The reconstruction error as one batch-sized expression: the reference
+    that the blocked `reconstruction_max_error` must match bit for bit."""
+    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    r, a, b, phi = (np.asarray(x)[..., None] for x in (dec.r, dec.a, dec.b, dec.phi))
+    rhs = b * np.sin(t + phi)
+    rhs += a * np.cos(t)
+    err = r * (np.cos(t) + np.sin(t)) - rhs
+    return np.max(np.abs(err), axis=-1)
+
+
+class TestReconstructionBlocks:
+    """Blocked reconstruction gives the one-shot formula's bits at any batch shape."""
+
+    @staticmethod
+    def _decomposition(shape, seed):
+        rng = np.random.default_rng(seed)
+        r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), shape))
+        return circle_decomposition(r, r * rng.uniform(-1.0, 1.0, shape))
+
+    @pytest.mark.parametrize("shape", [(1,), (15,), (16,), (17,), (33,), (3, 7)],
+                             ids=str)
+    def test_matches_one_shot_and_scalar_calls(self, shape):
+        dec = self._decomposition(shape, 106)
+        errors = reconstruction_max_error(dec)
+        assert errors.shape == shape
+        assert np.array_equal(errors.view(np.int64), _one_shot_max_error(dec).view(np.int64))
+        for i in np.ndindex(shape):
+            one = reconstruction_max_error(circle_decomposition(float(dec.r[i]),
+                                                                float(dec.delta[i])))
+            assert np.float64(one).view(np.int64) == errors[i].view(np.int64), i
+
+    def test_scalar_call_returns_a_scalar(self):
+        dec = circle_decomposition(0.7, -0.3)
+        error = reconstruction_max_error(dec)
+        assert np.ndim(error) == 0 and not isinstance(error, np.ndarray)
+        assert np.float64(error).view(np.int64) == _one_shot_max_error(dec).view(np.int64)
+
+
 class TestAltTailCheck:
     N = np.arange(1.0, 21.0)  # every remainder bound for m = 1..20
 
@@ -268,6 +307,10 @@ class TestSuites:
         with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
             suite(10, -1)
 
+    def test_prop4_worst_at_a_partial_block(self):
+        # 1000 cases are a multiple of neither the block rows nor the old chunk
+        assert run_prop4_suite(1000, 9).worst_violation == 9.241580516475127e-16
+
     def test_suites_are_seed_deterministic(self):
         a = run_prop4_suite(cases=200, seed=5)
         b = run_prop4_suite(cases=200, seed=5)
@@ -294,4 +337,14 @@ class TestSuites:
         assert run_all_suites(2000, seed) == [
             PropSuiteResult(name, 2000, failures, worst, suite_seed)
             for name, failures, worst, suite_seed in rows
+        ]
+
+    def test_pinned_rows_of_the_props_benchmark(self):
+        # the campaign `props --cases 10000 --seed 1` runs
+        assert run_all_suites(10_000, 1) == [
+            PropSuiteResult("prop1", 10_000, 0, 0.0, 1),
+            PropSuiteResult("prop2", 10_000, 0, 0.0, 2),
+            PropSuiteResult("prop3", 10_000, 0, 0.0, 3),
+            PropSuiteResult("prop4", 10_000, 0, 1.0295875648765404e-15, 4),
+            PropSuiteResult("prop5", 10_000, 0, 4.440156363217627e-16, 5),
         ]
