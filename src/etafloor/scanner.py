@@ -450,6 +450,8 @@ def scan_grid(
     """scan_line over an alpha grid, with global extremes; the grid points of
     every line go through one process pool."""
     a_lo, a_hi = alpha_range
+    if (error := parameter_error(a_lo, tol, engine)) is not None:
+        raise error
     alphas = [a_lo + j * alpha_step for j in range(_grid_count(a_lo, a_hi, alpha_step))]
     return GridReport.from_lines(
         _scan_lines(alphas, beta_range[0], beta_range[1], beta_step, tol, workers, engine))

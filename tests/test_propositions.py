@@ -308,7 +308,7 @@ class TestSuites:
             suite(10, -1)
 
     def test_prop4_worst_at_a_partial_block(self):
-        # 1000 cases are a multiple of neither the block rows nor the old chunk
+        # 1000 = 62 * 16 + 8 cases: the last block of rows is a partial one
         assert run_prop4_suite(1000, 9).worst_violation == 9.241580516475127e-16
 
     def test_suites_are_seed_deterministic(self):

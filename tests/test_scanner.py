@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -442,6 +443,17 @@ class TestScanGrid:
     def test_reversed_alpha_range_rejected(self):
         with pytest.raises(DomainError, match=r"^grid 0.7:0.6 is empty \(hi < lo\)$"):
             scan_grid((0.7, 0.6), (0.0, 1.0), 0.05, 0.1)
+
+    def test_parameters_are_refused_before_the_alpha_grid(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^alpha and tol must be finite, "
+                                                  r"got alpha=0\.5, tol=inf$"):
+                scan_grid((0.5, 1.0), (0.0, 1.0), 1e-7, 0.01, tol=math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_reversed_grid_is_refused(self):
         with pytest.raises(DomainError, match=r"^grid 1.0:0.0 is empty \(hi < lo\)$"):
