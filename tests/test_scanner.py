@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -46,6 +47,12 @@ ZERO_T1 = 14.134725
 ZERO_T2 = 21.022040
 ZERO_T3 = 25.010858
 ABS_FLOOR_2 = 2.0 - math.pi**2 / 6.0  # 1 - sum_{n>=2} n^(-2) = 0.3550659...
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class TestBoundFloor:
@@ -413,6 +420,30 @@ class TestPoolSize:
         assert survey_zeros(14.0, 17.0, workers=4) == serial  # 301 points, 3 blocks
         assert calls == [[3, [0, 128, 256]]]
 
+    def test_failed_refinement_probe_in_the_pool(self, calls, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        args = ((0.6, 0.8), (160.0, 166.0), 0.1, 0.01)
+        real_line = scanner_mod.eta_line
+
+        def failing(alpha, betas, tol, engine="checked"):
+            # only refinement calls eta_line; fail the probes of one line's window
+            return [CrossCheckError("injected", gap=1.0, budget=0.0)
+                    if alpha == 0.7 and 163.0 < beta < 163.2 else res
+                    for beta, res in zip(betas, real_line(alpha, betas, tol, engine))]
+
+        monkeypatch.setattr(scanner_mod, "eta_line", failing)
+        serial = scan_grid(*args)
+        self.cpus(monkeypatch, 8)
+        pooled = scan_grid(*args, workers=2)
+        assert [max_workers for max_workers, *_ in calls] == [2]
+        assert [ln.failures for ln in pooled.lines] == [ln.failures for ln in serial.lines]
+        assert pooled == serial
+        (failure,) = (f for ln in serial.lines for f in ln.failures)
+        assert (failure.s.alpha, failure.error, failure.message) == (
+            0.7, "CrossCheckError", "injected")
+        assert 163.0 < failure.s.beta < 163.2
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_is_refused(self, calls, workers):
         message = f"^workers must be >= 1, got {workers}$"
@@ -494,6 +525,14 @@ class TestScanGrid:
         assert grid.lines[1].violations == clean.lines[1].violations
         assert ((grid.lines[1].min_eta_abs, grid.lines[1].argmin_beta) ==
                 (clean.lines[1].min_eta_abs, clean.lines[1].argmin_beta))
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="a real pool needs 2 usable CPUs")
+    def test_pooled_refinement_equals_in_process(self):
+        args = ((0.55, 0.95), (1990.0, 1992.0), 0.1, 0.01)
+        serial = scan_grid(*args, workers=1)
+        assert scan_grid(*args, workers=2) == serial
+        grid_betas = {1990.0 + i * 0.01 for i in range(201)}
+        assert any(smp.s.beta not in grid_betas for ln in serial.lines for smp in ln.samples)
 
     def test_pool_children_grow_their_own_log_table(self, monkeypatch):
         from etafloor.reporting import serialize_report
