@@ -14,8 +14,8 @@ Scans are deterministic: the beta grid is an index formula, every block of
 BLOCK_POINTS grid indices is one task (in-process or in a process pool, which
 only caps how many run at once), results merge in ascending beta order, and
 every local minimum is refined by golden section, all basins of a line in
-lockstep (the refined samples join the report so the reported minimum is the
-minimum over the report's samples).
+lockstep as one more task of the same pool (the refined samples join the
+report so the reported minimum is the minimum over the report's samples).
 
 Zero location runs the same machinery on f(t) = |eta(1/2 + i t)| with a much
 finer abscissa resolution, and accepts an ordinate only when the residual is
@@ -28,10 +28,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 from .eta import (
@@ -209,23 +209,31 @@ def _grid_block(row: Callable, alphas: tuple[float, ...], lo: float, step: float
             for alpha, results in zip(alphas, eta_lines(alphas, betas, tol, engine))]
 
 
-def _sample_lines(row: Callable, alphas: Sequence[float], lo: float, step: float, count: int,
-                  workers: int, tol: float, engine: str) -> list[list]:
-    """_grid_block over grid indices 0..count-1 of every line alpha: one task
-    per block of BLOCK_POINTS indices, run in-process or through one process
-    pool of no more processes than there are workers, blocks or usable CPUs.
-    Each line's rows come back merged in index order."""
+@contextmanager
+def _task_map(workers: int, count: int) -> Iterator[Callable]:
+    """The builtin map, or the map of one process pool of no more processes
+    than there are workers, grid blocks of the count indices, or usable CPUs."""
     if not (workers >= 1):
         raise DomainError(f"workers must be >= 1, got {workers}")
-    starts = range(0, count, BLOCK_POINTS)
-    block = partial(_grid_block, row, tuple(alphas), lo, step, count, tol, engine)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(int(workers), len(starts), cpus or 1)
+    processes = min(int(workers), len(range(0, count, BLOCK_POINTS)), cpus or 1)
+    if processes <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        yield pool.map
+
+
+def _sample_lines(task_map: Callable, row: Callable, alphas: Sequence[float], lo: float,
+                  step: float, count: int, tol: float, engine: str) -> list[list]:
+    """_grid_block over grid indices 0..count-1 of every line alpha: one task
+    per block of BLOCK_POINTS indices, run through task_map.  Each line's rows
+    come back merged in index order."""
+    block = partial(_grid_block, row, tuple(alphas), lo, step, count, tol, engine)
     lines: list[list] = [[] for _ in alphas]
-    with (ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext()) as pool:
-        for rows in (pool.map if pool else map)(block, starts):
-            for line, part in zip(lines, rows):
-                line.extend(part)
+    for rows in task_map(block, range(0, count, BLOCK_POINTS)):
+        for line, part in zip(lines, rows):
+            line.extend(part)
     return lines
 
 
@@ -365,36 +373,45 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
 
 def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step: float,
                 tol: float, workers: int, engine: str) -> list[LineScanReport]:
-    """The report of each line alpha; the grid points of every line are
-    sampled through one process pool, then each line is refined in turn."""
+    """The report of each line alpha; one process pool samples the grid
+    points of every line, then refines each line's basins as one task."""
     if (error := parameter_error(alphas[0], tol, engine)) is not None:
         raise error
     eval_tol = min(tol, DEFAULT_SCAN_TOL)
-    lines = _sample_lines(_bound_sample, alphas, beta_min, step,
-                          _grid_count(beta_min, beta_max, step), workers, eval_tol, engine)
-    return [_line_report(alpha, beta_min, beta_max, step, tol, eval_tol, engine, rows)
-            for alpha, rows in zip(alphas, lines)]
+    count = _grid_count(beta_min, beta_max, step)
+    with _task_map(workers, count) as task_map:
+        lines = _sample_lines(task_map, _bound_sample, alphas, beta_min, step, count, eval_tol,
+                              engine)
+        # refine each basin whose grid point and both grid neighbours were sampled
+        values = [[row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
+                  for rows in lines]
+        basins = list(task_map(partial(_refine_line, beta_min, step, eval_tol, engine),
+                               zip(alphas, values)))
+    return [_line_report(alpha, beta_min, beta_max, step, tol, rows, refined)
+            for alpha, rows, refined in zip(alphas, lines, basins)]
+
+
+def _refine_line(lo: float, step: float, tol: float, engine: str, line: tuple) -> list:
+    """_refine_basins of one scan line (alpha, grid |eta| values), as a pool task."""
+    alpha, values = line
+    return _refine_basins(values, alpha, lo, step, SCAN_REFINE_XTOL, tol, engine)
 
 
 def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, tol: float,
-                 eval_tol: float, engine: str, rows: list) -> LineScanReport:
+                 rows: list, basins: list) -> LineScanReport:
     """The report of one line from its grid rows (a BoundSample or the
-    EtaFloorError of each grid point): failures, refined basins, violations."""
+    EtaFloorError of each grid point) and refined basins (_refine_basins)."""
     samples = [row for row in rows if isinstance(row, BoundSample)]
     failures = [ScanFailure(ComplexPoint(alpha, beta_min + i * step), type(row).__name__, str(row))
                 for i, row in enumerate(rows) if isinstance(row, EtaFloorError)]
-
-    # refine each basin whose grid point and both grid neighbours were sampled
-    eta_abs_values = [row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
     refined: list[BoundSample] = []
-    for i, x, res in _refine_basins(eta_abs_values, alpha, beta_min, step,
-                                    SCAN_REFINE_XTOL, eval_tol, engine):
+    for i, x, res in basins:
         # a failed probe ends its basin, which keeps its grid sample
         if isinstance(res, EtaFloorError):
             failures.append(ScanFailure(ComplexPoint(alpha, x), type(res).__name__, str(res)))
         # keep only genuine improvements over the basin's grid sample (a probe that
         # lands on a grid beta gets its bits, and no grid sample in the bracket is lower)
-        elif abs(res.value) < eta_abs_values[i]:
+        elif abs(res.value) < rows[i].eta_abs:
             refined.append(_bound_sample(ComplexPoint(alpha, x), res))
 
     merged = sorted(samples + refined, key=lambda smp: smp.s.beta)
@@ -489,7 +506,9 @@ def _zero_candidates(
             f"zero tol={tol:g} needs eta to tol/100={eval_tol:g}, below the "
             f"{ZERO_EVAL_TOL_FLOOR:g} floor of a zero search")
     count = _grid_count(t_lo, t_hi, grid_step)
-    values, = _sample_lines(_abs_value, (0.5,), t_lo, grid_step, count, workers, eval_tol, engine)
+    with _task_map(workers, count) as task_map:
+        values, = _sample_lines(task_map, _abs_value, (0.5,), t_lo, grid_step, count, eval_tol,
+                                engine)
     _raise_first_error(values)
     refined = _refine_basins(values, 0.5, t_lo, grid_step, ZERO_REFINE_XTOL, eval_tol, engine,
                              whole)

@@ -354,7 +354,8 @@ class TestScanLine:
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the tasks
-    it is given, maps in-process."""
+    it is given (a grid block by its first index, a line's refinement by its
+    alpha), maps in-process."""
 
     def __init__(self, calls: list, max_workers: int):
         self.calls = calls
@@ -368,13 +369,14 @@ class _RecordingPool:
 
     def map(self, fn, iterable):
         tasks = list(iterable)
-        self.calls[-1].append(tasks)
+        self.calls[-1].append([task[0] if isinstance(task, tuple) else task for task in tasks])
         return map(fn, tasks)
 
 
 class TestPoolSize:
-    """One task per block of BLOCK_POINTS grid indices; a pool starts
-    min(workers, blocks, usable CPUs) processes, and none when that is 1."""
+    """One task per block of BLOCK_POINTS grid indices, then one refinement
+    task per scan line; a pool starts min(workers, blocks, usable CPUs)
+    processes, and none when that is 1."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -400,8 +402,9 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("beta_max, workers, cpus, expected", [
         pytest.param(1.27, 8, 8, [], id="128-points"),  # one block
-        pytest.param(1.28, 8, 8, [[2, [0, 128]]], id="129-points"),  # two blocks
-        pytest.param(10.0, 64, 4, [[4, list(range(0, 1001, 128))]], id="1001-points-4-cpus"),
+        pytest.param(1.28, 8, 8, [[2, [0, 128], [0.75]]], id="129-points"),  # two blocks
+        pytest.param(10.0, 64, 4, [[4, list(range(0, 1001, 128)), [0.75]]],
+                     id="1001-points-4-cpus"),
         pytest.param(10.0, 4, None, [], id="unknown-cpus"),  # runs in-process
         pytest.param(10.0, 4, 1, [], id="one-cpu"),  # so does 1 usable CPU
     ])
@@ -412,6 +415,21 @@ class TestPoolSize:
         self.cpus(monkeypatch, cpus)
         pooled = scan_line(0.75, 0.0, beta_max, 0.01, workers=workers)
         assert calls == expected
+        assert serialize_report(pooled, "csv") == serial
+
+    @pytest.mark.parametrize("beta_max, expected", [
+        pytest.param(1.27, [], id="128-points"),  # one block a line: no pool, refinement included
+        pytest.param(1.28, [[2, [0, 128], [0.6 + j * 0.1 for j in range(3)]]], id="129-points"),
+    ])
+    def test_scan_grid(self, calls, monkeypatch, beta_max, expected):
+        from etafloor.reporting import serialize_report
+
+        args = ((0.6, 0.8), (0.0, beta_max), 0.1, 0.01)
+        serial = serialize_report(scan_grid(*args), "csv")
+        self.cpus(monkeypatch, 8)
+        pooled = scan_grid(*args, workers=8)
+        assert calls == expected
+        assert len(pooled.lines) == 3
         assert serialize_report(pooled, "csv") == serial
 
     def test_survey_zeros(self, calls, monkeypatch):
