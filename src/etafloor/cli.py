@@ -18,7 +18,7 @@ import re
 import sys
 
 from .decomposition import DEFAULT_THETA, decompose_from_eta
-from .eta import ENGINES, ComplexPoint, eta_eval, eta_line
+from .eta import ENGINES, ComplexPoint, eta_eval, eta_line, parameter_error
 from .exceptions import DomainError, EtaFloorError
 from .propositions import run_all_suites
 from .reporting import (
@@ -219,6 +219,9 @@ def _run_pca(cfg: argparse.Namespace) -> int:
         points = [cfg.s]
     else:
         alpha = cfg.alpha_range[0]
+        # refuse tol and engine before the point list is built
+        if (error := parameter_error(alpha, cfg.tol, cfg.engine)) is not None:
+            raise error
         lo, hi = cfg.beta_range
         step = 1.0 if cfg.step is None else cfg.step
         count = _grid_count(lo, hi, step)

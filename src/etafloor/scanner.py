@@ -19,7 +19,11 @@ report so the reported minimum is the minimum over the report's samples).
 
 Zero location runs the same machinery on f(t) = |eta(1/2 + i t)| with a much
 finer abscissa resolution, and accepts an ordinate only when the residual is
-below tolerance and the two accelerated engines agree at it.
+below tolerance and the two accelerated engines agree at it.  The zero survey
+keeps no list as long as its grid: each block is folded into basin indices as
+it arrives, holding only the last two grid values across a block edge, and
+the basins are refined in contiguous lockstep chunks, one task each of the
+pool that sampled the grid.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 from .eta import (
@@ -209,14 +213,18 @@ def _grid_block(row: Callable, alphas: tuple[float, ...], lo: float, step: float
             for alpha, results in zip(alphas, eta_lines(alphas, betas, tol, engine))]
 
 
-@contextmanager
-def _task_map(workers: int, count: int) -> Iterator[Callable]:
-    """The builtin map, or the map of one process pool of no more processes
-    than there are workers, grid blocks of the count indices, or usable CPUs."""
+def _pool_size(workers: int, count: int) -> int:
+    """Processes for a grid of count indices: no more than there are workers,
+    grid blocks of the count indices, or usable CPUs."""
     if not (workers >= 1):
         raise DomainError(f"workers must be >= 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(int(workers), len(range(0, count, BLOCK_POINTS)), cpus or 1)
+    return min(int(workers), len(range(0, count, BLOCK_POINTS)), cpus or 1)
+
+
+@contextmanager
+def _task_map(processes: int) -> Iterator[Callable]:
+    """The builtin map, or the map of one pool of that many processes."""
     if processes <= 1:
         yield map
         return
@@ -225,16 +233,12 @@ def _task_map(workers: int, count: int) -> Iterator[Callable]:
 
 
 def _sample_lines(task_map: Callable, row: Callable, alphas: Sequence[float], lo: float,
-                  step: float, count: int, tol: float, engine: str) -> list[list]:
+                  step: float, count: int, tol: float, engine: str) -> Iterator[list[list]]:
     """_grid_block over grid indices 0..count-1 of every line alpha: one task
-    per block of BLOCK_POINTS indices, run through task_map.  Each line's rows
-    come back merged in index order."""
+    per block of BLOCK_POINTS indices, run through task_map.  Yields each
+    block's rows (one list per line) as it arrives, in index order."""
     block = partial(_grid_block, row, tuple(alphas), lo, step, count, tol, engine)
-    lines: list[list] = [[] for _ in alphas]
-    for rows in task_map(block, range(0, count, BLOCK_POINTS)):
-        for line, part in zip(lines, rows):
-            line.extend(part)
-    return lines
+    return task_map(block, range(0, count, BLOCK_POINTS))
 
 
 # ----------------------------------------------------------------------------
@@ -291,16 +295,19 @@ def golden_section_min(
             return done.value
 
 
-def _local_minima(values: Sequence[float]) -> list[int]:
-    """Indices of interior local minima (strict on the left, lax on the right).
+def _local_minima(values: Iterable[float]) -> list[int]:
+    """Indices of interior local minima (strict on the left, lax on the right),
+    read in one pass that holds only the last two values.
 
     A NaN value marks a failed grid point: every comparison with it is false,
     so no minimum is taken at it or next to it.
     """
     idx = []
-    for i in range(1, len(values) - 1):
-        if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-            idx.append(i)
+    before = last = math.nan
+    for i, value in enumerate(values):
+        if last < before and last <= value:
+            idx.append(i - 1)
+        before, last = last, value
     return idx
 
 
@@ -317,20 +324,20 @@ class _ProbeAbs(float):
 
 
 def _refine_basins(
-    values: Sequence[float], alpha: float, lo: float, step: float, xtol: float, tol: float,
+    basins: Sequence[int], alpha: float, lo: float, step: float, xtol: float, tol: float,
     engine: str, whole: tuple[float, float] | None = None,
 ) -> list[tuple[int | None, float, EvalResult | EtaFloorError]]:
     """(i, x, eta(alpha + ix)) at the golden-section minimum of each grid
     basin, in basin order.
 
-    values[i] is the grid sample at x = lo + i*step (NaN where it failed); the
-    basin of an interior local minimum i is [lo + (i-1)*step, lo + (i+1)*step].
-    A grid without interior minima refines the bracket `whole`, if given, as i = None.
+    The basin of grid index i (an interior local minimum of the samples at
+    x = lo + i*step) is [lo + (i-1)*step, lo + (i+1)*step].  Without basins,
+    the bracket `whole`, if given, is refined as i = None.
     Every basin advances in lockstep: each round evaluates the next probe of
     every unfinished basin with one eta_line call.  A basin whose probe fails
     stops there, as (i, probe, the EtaFloorError).
     """
-    brackets = [(i, lo + (i - 1) * step, lo + (i + 1) * step) for i in _local_minima(values)]
+    brackets = [(i, lo + (i - 1) * step, lo + (i + 1) * step) for i in basins]
     if whole is not None and not brackets:
         brackets = [(None, *whole)]
     searches = [_golden_section(b_lo, b_hi, xtol) for _, b_lo, b_hi in brackets]
@@ -379,22 +386,25 @@ def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step:
         raise error
     eval_tol = min(tol, DEFAULT_SCAN_TOL)
     count = _grid_count(beta_min, beta_max, step)
-    with _task_map(workers, count) as task_map:
-        lines = _sample_lines(task_map, _bound_sample, alphas, beta_min, step, count, eval_tol,
-                              engine)
+    with _task_map(_pool_size(workers, count)) as task_map:
+        lines: list[list] = [[] for _ in alphas]
+        for rows in _sample_lines(task_map, _bound_sample, alphas, beta_min, step, count,
+                                  eval_tol, engine):
+            for line, part in zip(lines, rows):
+                line.extend(part)
         # refine each basin whose grid point and both grid neighbours were sampled
-        values = [[row.eta_abs if isinstance(row, BoundSample) else math.nan for row in rows]
-                  for rows in lines]
-        basins = list(task_map(partial(_refine_line, beta_min, step, eval_tol, engine),
-                               zip(alphas, values)))
-    return [_line_report(alpha, beta_min, beta_max, step, tol, rows, refined)
-            for alpha, rows, refined in zip(alphas, lines, basins)]
+        basins = [_local_minima(row.eta_abs if isinstance(row, BoundSample) else math.nan
+                                for row in rows) for rows in lines]
+        refined = list(task_map(partial(_refine_line, beta_min, step, eval_tol, engine),
+                                zip(alphas, basins)))
+    return [_line_report(alpha, beta_min, beta_max, step, tol, rows, line_refined)
+            for alpha, rows, line_refined in zip(alphas, lines, refined)]
 
 
 def _refine_line(lo: float, step: float, tol: float, engine: str, line: tuple) -> list:
-    """_refine_basins of one scan line (alpha, grid |eta| values), as a pool task."""
-    alpha, values = line
-    return _refine_basins(values, alpha, lo, step, SCAN_REFINE_XTOL, tol, engine)
+    """_refine_basins of one scan line (alpha, grid basin indices), as a pool task."""
+    alpha, basins = line
+    return _refine_basins(basins, alpha, lo, step, SCAN_REFINE_XTOL, tol, engine)
 
 
 def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, tol: float,
@@ -491,12 +501,16 @@ def _zero_candidates(
 ) -> list[ZeroRecord]:
     """The record of every refined minimum of |eta(1/2 + i t)| on [t_lo, t_hi].
 
-    The grid t_lo + i*grid_step is sampled in blocks (then the failed
-    point of lowest index, if any, raises its error), every interior
-    local minimum is refined by golden section (then the failed basin of
-    lowest index, if any, raises its error), and the Euler/Chebyshev gap is
-    measured wherever the residual is below tol (elsewhere it is inf).  A grid
-    without interior minima refines the bracket `whole`, if given.
+    The grid t_lo + i*grid_step is sampled in blocks, each folded into the
+    basin indices (interior local minima) as it arrives, so only the last two
+    grid values are held across block edges; the failed point of lowest
+    index, if any, raises its error when its block arrives.  The basins are
+    refined by golden section in min(processes, basins) contiguous chunks,
+    each in lockstep as one task of the pool that sampled the grid (then the
+    failed basin of lowest index, if any, raises its error), and the
+    Euler/Chebyshev gap is measured wherever the residual is below tol
+    (elsewhere it is inf).  A grid without interior minima refines the
+    bracket `whole`, if given.
     """
     if (error := parameter_error(0.5, tol, engine)) is not None:
         raise error
@@ -506,16 +520,30 @@ def _zero_candidates(
             f"zero tol={tol:g} needs eta to tol/100={eval_tol:g}, below the "
             f"{ZERO_EVAL_TOL_FLOOR:g} floor of a zero search")
     count = _grid_count(t_lo, t_hi, grid_step)
-    with _task_map(workers, count) as task_map:
-        values, = _sample_lines(task_map, _abs_value, (0.5,), t_lo, grid_step, count, eval_tol,
-                                engine)
-    _raise_first_error(values)
-    refined = _refine_basins(values, 0.5, t_lo, grid_step, ZERO_REFINE_XTOL, eval_tol, engine,
-                             whole)
+    processes = _pool_size(workers, count)
+    with _task_map(processes) as task_map:
+        blocks = _sample_lines(task_map, _abs_value, (0.5,), t_lo, grid_step, count, eval_tol,
+                               engine)
+        basins = _local_minima(_certified(rows[0] for rows in blocks))
+        # contiguous chunks of basins, each refined in lockstep as one task
+        n, chunks = len(basins), min(processes, len(basins)) or 1
+        refine = partial(_refine_basins, alpha=0.5, lo=t_lo, step=grid_step,
+                         xtol=ZERO_REFINE_XTOL, tol=eval_tol, engine=engine, whole=whole)
+        parts = task_map(refine, [basins[k * n // chunks:(k + 1) * n // chunks]
+                                  for k in range(chunks)])
+        refined = [basin for part in parts for basin in part]
     _raise_first_error([res for _, _, res in refined])
     return [ZeroRecord(t, residual := abs(res.value),
                        _engine_gap_at(t, eval_tol) if residual < tol else math.inf, (t_lo, t_hi))
             for _, t, res in refined]
+
+
+def _certified(blocks: Iterable[list]) -> Iterator[float]:
+    """The values of blocks in order; the first EtaFloorError among them is
+    raised as soon as its block arrives."""
+    for block in blocks:
+        _raise_first_error(block)
+        yield from block
 
 
 def _raise_first_error(results: Sequence) -> None:

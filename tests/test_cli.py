@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -444,6 +445,19 @@ class TestPcaCommand:
             "etafloor: numerical failure: euler engine cannot certify tol=1e-10 at "
             "s=0.05+400j (best estimate 6.99012e-10)\n")
         assert not target.exists()
+
+    def test_parameters_are_refused_before_the_point_list(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["pca", "--alpha", "0.5", "--beta", "0:1000", "--step", "0.01",
+                         "--tol", "inf"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "etafloor: invalid parameter: alpha and tol must be finite, got alpha=0.5, tol=inf\n")
+        assert peak < 1 << 20  # 100 001 points would take several MB
 
     def test_line_mode(self, tmp_path, capsys):
         target = tmp_path / "pca.json"

@@ -200,7 +200,7 @@ class TestRefineBasins:
         if whole is not None and not brackets:
             brackets = [(None, *whole)]
         expected = [(i, *golden_section_min(f, b_lo, b_hi, xtol)) for i, b_lo, b_hi in brackets]
-        got = _refine_basins(values, alpha, lo, step, xtol, tol, "checked", whole)
+        got = _refine_basins(_local_minima(values), alpha, lo, step, xtol, tol, "checked", whole)
         assert expected
         assert (expected[0][0] is None) == (len(values) < 3)
         assert [(i, x, abs(res.value)) for i, x, res in got] == expected
@@ -355,7 +355,7 @@ class TestScanLine:
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the tasks
     it is given (a grid block by its first index, a line's refinement by its
-    alpha), maps in-process."""
+    alpha, a survey's refinement chunk by its basin indices), maps in-process."""
 
     def __init__(self, calls: list, max_workers: int):
         self.calls = calls
@@ -375,8 +375,8 @@ class _RecordingPool:
 
 class TestPoolSize:
     """One task per block of BLOCK_POINTS grid indices, then one refinement
-    task per scan line; a pool starts min(workers, blocks, usable CPUs)
-    processes, and none when that is 1."""
+    task per scan line, or per contiguous chunk of a survey's basins; a pool
+    starts min(workers, blocks, usable CPUs) processes, and none when that is 1."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -436,7 +436,35 @@ class TestPoolSize:
         serial = survey_zeros(14.0, 17.0)
         self.cpus(monkeypatch, 8)
         assert survey_zeros(14.0, 17.0, workers=4) == serial  # 301 points, 3 blocks
-        assert calls == [[3, [0, 128, 256]]]
+        assert calls == [[3, [0, 128, 256], [[13]]]]  # 1 basin, so 1 refinement chunk
+
+    def test_survey_zeros_splits_refinement_into_chunks(self, calls, monkeypatch):
+        serial = survey_zeros(0.0, 30.0)
+        self.cpus(monkeypatch, 8)
+        assert survey_zeros(0.0, 30.0, workers=4) == serial  # 3001 points, 24 blocks
+        # 6 basins in 4 contiguous chunks, one per process
+        assert calls == [[4, list(range(0, 3001, 128)),
+                          [[904], [1413, 1815], [2102], [2501, 2713]]]]
+
+    def test_failed_refinement_probe_in_the_survey_pool(self, calls, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        real_line = scanner_mod.eta_line
+
+        def failing(alpha, betas, tol, engine="checked"):
+            # only refinement calls eta_line; both failing basins are in the second chunk
+            return [NonConvergenceError(f"injected low at t={t!r}") if 20.9 < t < 21.1 else
+                    CrossCheckError(f"injected high at t={t!r}") if 24.9 < t < 25.1 else res
+                    for t, res in zip(betas, real_line(alpha, betas, tol, engine))]
+
+        monkeypatch.setattr(scanner_mod, "eta_line", failing)
+        with pytest.raises(NonConvergenceError, match="^injected low at t=") as serial:
+            survey_zeros(0.0, 30.0)
+        self.cpus(monkeypatch, 8)
+        with pytest.raises(NonConvergenceError) as pooled:
+            survey_zeros(0.0, 30.0, workers=2)
+        assert calls == [[2, list(range(0, 3001, 128)), [[904, 1413, 1815], [2102, 2501, 2713]]]]
+        assert str(pooled.value) == str(serial.value)
 
     def test_failed_refinement_probe_in_the_pool(self, calls, monkeypatch):
         import etafloor.scanner as scanner_mod
@@ -643,6 +671,31 @@ class TestZeros:
         record, = survey_zeros(14.0, 14.2, 1e-10)  # 1e-10 / 100 == 1e-12 exactly
         assert record.t == pytest.approx(ZERO_T1, abs=1e-5)
         assert record.residual < 1e-10
+
+    @pytest.mark.parametrize("block_points", [4, 5])
+    def test_basins_across_block_edges(self, monkeypatch, block_points):
+        import etafloor.scanner as scanner_mod
+
+        survey, located = survey_zeros(14.0, 40.0), locate_zero(14.0, 14.3)
+        # basins 13, 415, ..., 2359: at size 4, 415 and 2359 end a block; at
+        # size 5, 415 starts one and 1894, 2249 and 2359 end one
+        monkeypatch.setattr(scanner_mod, "BLOCK_POINTS", block_points)
+        assert survey_zeros(14.0, 40.0) == survey
+        assert locate_zero(14.0, 14.3) == located
+
+    def test_survey_memory_does_not_grow_with_the_grid(self):
+        survey_zeros(0.0, 1.0)  # warm the engine's tables
+        peaks, found = [], []
+        for grid_step in (0.01, 0.0025):
+            tracemalloc.start()
+            try:
+                found.append(len(survey_zeros(0.0, 100.0, grid_step=grid_step)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert found == [29, 29]
+        # 30 000 more grid values would be about 940 KB held in a list
+        assert peaks[1] - peaks[0] < 64 << 10
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_survey_raises_first_uncertified_point(self, workers):
