@@ -84,7 +84,7 @@ def golden_reports() -> dict:
     }
 
 
-PIN_ENGINES = ("euler", "accel", "checked")
+PIN_ENGINES = ("partial", "euler", "accel", "checked")
 PIN_TOLS = (1e-9, 1e-12)
 
 

@@ -342,7 +342,7 @@ class TestPinnedOutcomes:
     error at 60 points per engine and tol (fixture: tests/golden/generate.py)."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    @pytest.mark.parametrize("engine", ["euler", "accel", "checked"])
+    @pytest.mark.parametrize("engine", ["partial", "euler", "accel", "checked"])
     def test_matches_pins(self, engine, tol):
         rows = [line.split("\t") for line in PINS.read_text(encoding="utf-8").splitlines()]
         rows = [row for row in rows if row[2] == engine and float(row[3]) == tol]
