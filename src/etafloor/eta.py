@@ -19,13 +19,15 @@ oracles for each other:
   representing measure, Gamma(alpha)/|Gamma(s)|, where ln|Gamma| comes from
   an in-house Stirling series.
 
-``eta_lines`` evaluates several vertical lines on one beta grid in blocks.
-Every n^(-s) matrix is built in one place, as a per-line magnitude row
-n^(-alpha) times a per-block phase matrix e^(-i beta ln n): the lines of a
-block share its phases, and the Euler and Chebyshev engines share each
-line's matrix.  Every value keeps the bits of a one-point call.
-``eta_line`` is ``eta_lines`` on one line, and ``eta_eval`` is ``eta_line``
-at one point.
+Each engine is a row of one table, a tuple of parts: "checked" is the Euler
+and Chebyshev parts as a pair, cross-checked, and the other engines are one
+part each.  ``eta_lines`` evaluates several vertical lines on one beta grid
+in blocks, for every engine.  Every n^(-s) matrix is built in one place, as
+a per-line magnitude row n^(-alpha) times a per-block phase matrix
+e^(-i beta ln n): the lines of a block share its phases, and the parts of an
+engine share each line's matrix.  Every value keeps the bits of a one-point
+call.  ``eta_line`` is ``eta_lines`` on one line, and ``eta_eval`` is
+``eta_line`` at one point.
 
 Error certificates: accelerated engines report a heuristic estimate
 (last-correction magnitude x 10, or the Chebyshev truncation model) plus a
@@ -81,8 +83,6 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 # B_2k / (2k (2k-1)), k = 1..8
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
-
-ENGINES = ("partial", "euler", "accel", "checked")
 
 MAX_PARTIAL_TERMS = 20_000_000
 MAX_ACCEL_STAGES = 4096
@@ -154,11 +154,6 @@ def _log_range(n: int) -> np.ndarray:
     if n > _logs.size:
         _logs = np.log(np.arange(1, max(n, 2 * _logs.size) + 1, dtype=np.float64))
     return _logs[:n]
-
-
-def _euler_head(beta: float) -> int:
-    """Terms the Euler engine sums directly, before transforming the tail."""
-    return max(32, int(math.ceil(abs(beta))))
 
 
 def _alternating_signs(n: int) -> np.ndarray:
@@ -414,22 +409,22 @@ def crvz_reference_sum(terms: np.ndarray) -> float | np.ndarray:
 # dispatch, conversion factor
 # ----------------------------------------------------------------------------
 
-def _eta_partial_certified(p: ComplexPoint, tol: float) -> EvalResult | NonConvergenceError:
-    if p.beta != 0.0:
+def _eta_partial_certified(z: complex, tol: float) -> tuple | NonConvergenceError:
+    if z.imag != 0.0:
         return NonConvergenceError(
             "partial engine certifies a tolerance only on the real axis (beta = 0)"
         )
     # remainder after N terms is at most (N+1)^(-alpha); bracket midpoint halves it
-    log_needed = math.log(2.0 / tol) / p.alpha
+    log_needed = math.log(2.0 / tol) / z.real
     if log_needed <= math.log(MAX_PARTIAL_TERMS):
         n = min(max(int(math.ceil(math.exp(log_needed))) + 2, 4), MAX_PARTIAL_TERMS)
         n -= n % 2
-        lo, hi = partial_sum_bracket(p.alpha, n)
-        est = 0.5 * (hi - lo) + EPS * 2.0 * n ** max(0.0, 1.0 - p.alpha)
+        lo, hi = partial_sum_bracket(z.real, n)
+        est = 0.5 * (hi - lo) + EPS * 2.0 * n ** max(0.0, 1.0 - z.real)
         if est <= tol:
-            return EvalResult(complex(0.5 * (lo + hi)), est, "partial", n)
+            return complex(0.5 * (lo + hi)), est, n
     return NonConvergenceError(
-        f"partial summation cannot certify tol={tol:g} at alpha={p.alpha} "
+        f"partial summation cannot certify tol={tol:g} at alpha={z.real} "
         f"within {MAX_PARTIAL_TERMS} terms"
     )
 
@@ -508,97 +503,113 @@ def _checked(z: complex, euler: tuple, accel: tuple) -> EvalResult | CrossCheckE
     return EvalResult(value, est, method, euler[2] + accel[2])
 
 
-class _BlockLine:
-    """One line's points in an _eval_block call: their Euler and Chebyshev
-    parameters, the row width each needs, the line's magnitude row and the
-    results so far (None where a point has none yet)."""
+def _euler_plan(zs: list[complex], tol: float) -> tuple[list, list, list]:
+    """The Euler part's first attempt (head, m) per point; a head over the cap
+    builds no row, since its ladder refuses it at once."""
+    heads = [max(32, int(math.ceil(abs(z.imag)))) for z in zs]  # terms summed directly
+    keys = list(zip(heads, _euler_tail_lengths(zs, heads, tol)))
+    return keys, [head + m if head <= MAX_EULER_HEAD else 0 for head, m in keys], [None] * len(zs)
 
-    def __init__(self, alpha: float, betas: list, heads: list | None, tol: float, engine: str):
-        self.zs = [complex(alpha, beta) for beta in betas]
-        self.imags = [z.imag for z in self.zs]
-        self.tol, self.engine = tol, engine
-        self.out: list = [None] * len(self.zs)
-        self.widths = [0] * len(self.zs)
-        if engine != "accel":
-            self.tails = list(zip(heads, _euler_tail_lengths(self.zs, heads, tol)))
-            # a head over the cap builds no row: its ladder refuses it at once
-            self.widths = [head + m if head <= MAX_EULER_HEAD else 0 for head, m in self.tails]
-            self.euler: list = [None] * len(self.zs)
-        if engine != "euler":
-            self.log_tvs = [_log_total_variation(z) for z in self.zs]
-            self.stages = [_stages(log_tv, tol) for log_tv in self.log_tvs]
-            self.widths = [max(w, n) if n <= MAX_ACCEL_STAGES else w
-                           for w, n in zip(self.widths, self.stages)]
-        self.magnitudes = _magnitudes(alpha, _log_range(max(self.widths)))
 
-    def evaluate(self, r0: int, r1: int, phases: tuple[np.ndarray, np.ndarray]) -> None:
-        """The results of rows r0..r1-1, whose phases are at least as wide as
-        any of these rows needs."""
-        tol, engine, zs, imags, out = self.tol, self.engine, self.zs, self.imags, self.out
-        width = max(self.widths[r0:r1])
-        pows = _powers(self.magnitudes, (phases[0][:, :width], phases[1][:, :width]))
-        absp = np.abs(pows)  # both engines' roundoff floors read it
-        if engine != "accel":
-            euler = self.euler
-            for (head, m), lo, hi in _runs(self.tails, r0, r1):
-                rows = slice(lo - r0, hi - r0), slice(0, head + m)
-                firsts = (_euler_rows(pows[rows], absp[rows], imags[lo:hi], head, m)
-                          if head <= MAX_EULER_HEAD else [(None, math.inf)] * (hi - lo))
-                for k, (value, est) in zip(range(lo, hi), firsts):
-                    euler[k] = ((value, est, head + m) if est <= tol
-                                else _euler_ladder(zs[k], head, m, tol, est))
-                    if isinstance(euler[k], EtaFloorError):
-                        out[k] = euler[k]
-                    elif engine == "euler":
-                        out[k] = EvalResult(euler[k][0], euler[k][1], "euler", euler[k][2])
-            if engine == "euler":
-                return
-        # a row whose Euler evaluation failed keeps that error, as a one-point call does
-        for n, lo, hi in _runs(self.stages, r0, r1):
-            if n > MAX_ACCEL_STAGES:
-                for k in range(lo, hi):
-                    if out[k] is None:
-                        out[k] = NonConvergenceError(f"n_stages {n} exceeds cap {MAX_ACCEL_STAGES}")
-                continue
-            rows = slice(lo - r0, hi - r0), slice(0, n)
-            results = _chebyshev_rows(pows[rows], absp[rows], imags[lo:hi], n, self.log_tvs[lo:hi])
-            for k, (value, est) in zip(range(lo, hi), results):
-                if out[k] is not None:
-                    continue
-                if engine == "checked":
-                    out[k] = _checked(zs[k], self.euler[k], (value, est, n))
-                elif est > tol:
-                    out[k] = NonConvergenceError(
-                        f"accel engine cannot certify tol={tol:g} at s={zs[k]:g} "
-                        f"(estimate {est:g})")
-                else:
-                    out[k] = EvalResult(value, est, "accel", n)
+def _euler_reduce(pows: np.ndarray, absp: np.ndarray, zs: list[complex], key: tuple[int, int],
+                  tol: float, data: list) -> list:
+    head, m = key
+    firsts = (_euler_rows(pows, absp, [z.imag for z in zs], head, m) if head <= MAX_EULER_HEAD
+              else [(None, math.inf)] * len(zs))
+    return [(value, est, head + m) if est <= tol else _euler_ladder(z, head, m, tol, est)
+            for z, (value, est) in zip(zs, firsts)]
+
+
+def _chebyshev_plan(zs: list[complex], tol: float) -> tuple[list, list, list]:
+    """The Chebyshev part's stage count per point, and its ln(Gamma(alpha)/|Gamma(s)|)."""
+    log_tvs = [_log_total_variation(z) for z in zs]
+    stages = [_stages(log_tv, tol) for log_tv in log_tvs]
+    return stages, [n if n <= MAX_ACCEL_STAGES else 0 for n in stages], log_tvs
+
+
+def _chebyshev_reduce(pows: np.ndarray, absp: np.ndarray, zs: list[complex], n: int,
+                      tol: float, log_tvs: list) -> list:
+    if n > MAX_ACCEL_STAGES:
+        return [NonConvergenceError(f"n_stages {n} exceeds cap {MAX_ACCEL_STAGES}") for _ in zs]
+    return [(value, est, n) for value, est in
+            _chebyshev_rows(pows, absp, [z.imag for z in zs], n, log_tvs)]
+
+
+def _partial_plan(zs: list[complex], tol: float) -> tuple[list, list, list]:
+    return [None] * len(zs), [0] * len(zs), [None] * len(zs)  # one run, no row
+
+
+def _partial_reduce(pows: np.ndarray, absp: np.ndarray, zs: list[complex], key: None,
+                    tol: float, data: list) -> list:
+    return [_eta_partial_certified(z, tol) for z in zs]
+
+
+_EULER, _CHEBYSHEV = (_euler_plan, _euler_reduce), (_chebyshev_plan, _chebyshev_reduce)
+
+# engine -> its parts, each a pair (plan, reduce): plan(zs, tol) gives per point the run
+# key, the row width (0 for no row, or a refusal) and data; reduce(pows, absp, zs, key, tol,
+# data) gives (value, estimate, terms) or an EtaFloorError per point of one run of keys
+_ENGINE_PARTS = {
+    "partial": ((_partial_plan, _partial_reduce),),
+    "euler": (_EULER,),
+    "accel": (_CHEBYSHEV,),
+    "checked": (_EULER, _CHEBYSHEV),
+}
+ENGINES = tuple(_ENGINE_PARTS)
+
+
+def _join(engine: str, z: complex, tol: float, parts: tuple) -> EvalResult | EtaFloorError:
+    """The result at z from its parts' outcomes: the first error in part order,
+    else the cross-check of a pair, else the one part's result within tol."""
+    for outcome in parts:
+        if isinstance(outcome, EtaFloorError):
+            return outcome
+    if len(parts) == 2:
+        return _checked(z, *parts)
+    value, est, terms = parts[0]
+    if est > tol:
+        return NonConvergenceError(
+            f"{engine} engine cannot certify tol={tol:g} at s={z:g} (estimate {est:g})")
+    return EvalResult(value, est, engine, terms)
 
 
 def _eval_block(alphas: Sequence[float], betas: list, tol: float, engine: str) -> list[list]:
-    """eta_lines on at most BLOCK_POINTS betas of each line alpha, for the
-    engine "euler", "accel" or "checked": one list of results per line.
+    """eta_lines on at most BLOCK_POINTS betas of each line alpha: one list of
+    results per line.
 
-    Sub-blocks are an even cut, as many rows each as fit in BLOCK_ELEMENTS at
-    the widest row any line needs, and each builds one phase matrix, as wide
-    as its own widest row, that every line shares.  Each line forms its own
-    n^(-s) matrix from it and the line's magnitude row, one line at a time, and
-    both engines slice that matrix.  Each run of consecutive rows with the
-    same Euler (head, m), or the same Chebyshev n, is reduced row by row on
-    exactly its own columns, so every value has the bits of a one-point
-    call.  A point whose first Euler attempt misses tol climbs the retry
-    ladder on its own.
+    Each part of the engine plans every point of a line; a point's row is as
+    wide as the widest of its parts needs.  Sub-blocks are an even cut, as
+    many rows each as fit in BLOCK_ELEMENTS at the widest row any line needs,
+    and each builds one phase matrix, as wide as its own widest row, that
+    every line shares.  Each line forms its own n^(-s) matrix from it and the
+    line's magnitude row (formed once, at the line's widest row), one line at
+    a time, and every part slices that matrix.  Each run of consecutive rows
+    with the same key of a part is reduced row by row on exactly its own
+    columns, so every value has the bits of a one-point call.
     """
-    heads = [_euler_head(beta) for beta in betas] if engine != "accel" else None
-    lines = [_BlockLine(alpha, betas, heads, tol, engine) for alpha in alphas]
-    widths = [max(row) for row in zip(*(line.widths for line in lines))]
-    rows = max(1, BLOCK_ELEMENTS // max(1, max(widths)))  # a width is 0 where every engine refuses
+    parts = _ENGINE_PARTS[engine]
+    lines = []
+    for alpha in alphas:
+        zs = [complex(alpha, beta) for beta in betas]
+        plans = [plan(zs, tol) for plan, _ in parts]
+        widths = [max(row) for row in zip(*(part_widths for _, part_widths, _ in plans))]
+        lines.append((zs, plans, widths, _magnitudes(alpha, _log_range(max(widths))),
+                      [[None] * len(zs) for _ in parts]))
+    widths = [max(row) for row in zip(*(line[2] for line in lines))]
+    rows = max(1, BLOCK_ELEMENTS // max(1, max(widths)))  # a width is 0 where every part refuses
     for r0 in range(0, len(betas), rows):
         r1 = min(r0 + rows, len(betas))
-        phases = _phases(betas[r0:r1], _log_range(max(widths[r0:r1])))
-        for line in lines:
-            line.evaluate(r0, r1, phases)
-    return [line.out for line in lines]
+        cos, sin = _phases(betas[r0:r1], _log_range(max(widths[r0:r1])))
+        for zs, plans, line_widths, magnitudes, outcomes in lines:
+            width = max(line_widths[r0:r1])
+            pows = _powers(magnitudes, (cos[:, :width], sin[:, :width]))
+            absp = np.abs(pows)  # every part's roundoff floor reads it
+            for (_, reduce), (keys, part_widths, data), out in zip(parts, plans, outcomes):
+                for key, lo, hi in _runs(keys, r0, r1):
+                    run = slice(lo - r0, hi - r0), slice(0, part_widths[lo])
+                    out[lo:hi] = reduce(pows[run], absp[run], zs[lo:hi], key, tol, data[lo:hi])
+    return [[_join(engine, z, tol, point) for z, point in zip(zs, zip(*outcomes))]
+            for zs, _, _, _, outcomes in lines]
 
 
 def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked") -> list[list]:
@@ -606,32 +617,20 @@ def eta_lines(alphas: Sequence[float], betas, tol: float, engine: str = "checked
     EvalResult eta_eval returns at alphas[j] + i betas[k], or the
     EtaFloorError it raises.
 
-    Euler and Chebyshev points run in blocks of at most BLOCK_POINTS betas,
-    every line of a block sharing its phases, with the bits of one-point
-    calls; "partial" runs point by point.
+    Points run in blocks of at most BLOCK_POINTS betas, every line of a
+    block sharing its phases, with the bits of one-point calls.
     """
     betas = list(betas)
     finite = [beta for beta in betas if math.isfinite(beta)]
     if len(finite) < len(betas):  # a non-finite beta fails at its own point only
         return [[next(line) if math.isfinite(beta) else DomainError(f"beta={beta} is not finite")
                  for beta in betas] for line in map(iter, eta_lines(alphas, finite, tol, engine))]
-    out: list[list] = []
-    shared = []  # the lines that go through _eval_block
-    for alpha in alphas:
-        error = parameter_error(alpha, tol, engine)
-        if error is not None:
-            out.append([error] * len(betas))
-        elif engine == "partial":
-            out.append([_eta_partial_certified(ComplexPoint(alpha, beta), tol) for beta in betas])
-        else:
-            shared.append(len(out))
-            out.append([])
-    if not shared:
-        return out
-    for start in range(0, len(betas), BLOCK_POINTS):
+    out = [[] if (error := parameter_error(alpha, tol, engine)) is None else [error] * len(betas)
+           for alpha in alphas]
+    shared = [j for j, line in enumerate(out) if not line]  # the lines _eval_block evaluates
+    for start in range(0, len(betas) if shared else 0, BLOCK_POINTS):
         block = betas[start : start + BLOCK_POINTS]
-        results = _eval_block([alphas[j] for j in shared], block, tol, engine)
-        for j, line in zip(shared, results):
+        for j, line in zip(shared, _eval_block([alphas[j] for j in shared], block, tol, engine)):
             out[j] += line
     return out
 
