@@ -31,10 +31,12 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
@@ -224,12 +226,30 @@ def _pool_size(workers: int, count: int) -> int:
 
 @contextmanager
 def _task_map(processes: int) -> Iterator[Callable]:
-    """The builtin map, or the map of one pool of that many processes."""
+    """The builtin map, or a map through one pool of that many processes that
+    keeps at most 2 tasks per process submitted ahead of its consumer.
+    Leaving the context cancels the tasks not yet started, so a consumer that
+    stops at an error waits only for the running ones."""
     if processes <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        yield pool.map
+    pool = ProcessPoolExecutor(max_workers=processes)
+    try:
+        yield partial(_window_map, pool, 2 * processes)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _window_map(pool: ProcessPoolExecutor, window: int, fn: Callable,
+                tasks: Iterable) -> Iterator:
+    """fn of each task, in order, run by pool with at most `window` tasks
+    submitted besides the one whose result is awaited."""
+    tasks = iter(tasks)
+    futures = deque(pool.submit(fn, task) for task in islice(tasks, window))
+    while futures:
+        future = futures.popleft()
+        futures.extend(pool.submit(fn, task) for task in islice(tasks, 1))
+        yield future.result()
 
 
 def _sample_lines(task_map: Callable, row: Callable, alphas: Sequence[float], lo: float,

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -354,23 +355,26 @@ class TestScanLine:
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the tasks
-    it is given (a grid block by its first index, a line's refinement by its
-    alpha, a survey's refinement chunk by its basin indices), maps in-process."""
+    submitted to it, one list per mapped function (a grid block by its first
+    index, a line's refinement by its alpha, a survey's refinement chunk by
+    its basin indices), and runs each in-process as it is submitted."""
 
     def __init__(self, calls: list, max_workers: int):
         self.calls = calls
+        self.fn = None
         calls.append([max_workers])
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, task):
+        if fn is not self.fn:
+            self.fn = fn
+            self.calls[-1].append([])
+        self.calls[-1][-1].append(task[0] if isinstance(task, tuple) else task)
+        future = Future()
+        future.set_result(fn(task))
+        return future
 
-    def __exit__(self, *exc_info):
-        return False
-
-    def map(self, fn, iterable):
-        tasks = list(iterable)
-        self.calls[-1].append([task[0] if isinstance(task, tuple) else task for task in tasks])
-        return map(fn, tasks)
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 class TestPoolSize:
@@ -445,6 +449,27 @@ class TestPoolSize:
         # 6 basins in 4 contiguous chunks, one per process
         assert calls == [[4, list(range(0, 3001, 128)),
                           [[904], [1413, 1815], [2102], [2501, 2713]]]]
+
+    def test_survey_stops_submitting_at_its_first_failed_block(self, calls, monkeypatch):
+        import etafloor.scanner as scanner_mod
+
+        real_lines = scanner_mod.eta_lines
+
+        def failing(alphas, betas, tol, engine="checked"):
+            return [[NonConvergenceError(f"injected at t={t!r}") if 2.995 < t < 3.005 else res
+                     for t, res in zip(betas, line)]
+                    for line in real_lines(alphas, betas, tol, engine)]
+
+        monkeypatch.setattr(scanner_mod, "eta_lines", failing)
+        with pytest.raises(NonConvergenceError, match="^injected at t=") as serial:
+            survey_zeros(0.0, 30.0)
+        self.cpus(monkeypatch, 8)
+        with pytest.raises(NonConvergenceError) as pooled:
+            survey_zeros(0.0, 30.0, workers=4)
+        # t = 3 is in block 2 of 24: 2 blocks per process are submitted ahead of
+        # the awaited one, and none once its failure is read
+        assert calls == [[4, list(range(0, 11 * 128, 128))]]
+        assert str(pooled.value) == str(serial.value)
 
     def test_failed_refinement_probe_in_the_survey_pool(self, calls, monkeypatch):
         import etafloor.scanner as scanner_mod
@@ -695,6 +720,21 @@ class TestZeros:
                 tracemalloc.stop()
         assert found == [29, 29]
         # 30 000 more grid values would be about 940 KB held in a list
+        assert peaks[1] - peaks[0] < 64 << 10
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="a real pool needs 2 usable CPUs")
+    def test_pooled_survey_memory_does_not_grow_with_the_grid(self):
+        survey_zeros(0.0, 1.0)  # warm the engine's tables
+        peaks, found = [], []
+        for grid_step in (0.01, 0.0025):
+            tracemalloc.start()
+            try:
+                found.append(len(survey_zeros(0.0, 100.0, grid_step=grid_step, workers=2)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert found == [29, 29]
+        # the parent holds a bounded window of blocks, not one future per block
         assert peaks[1] - peaks[0] < 64 << 10
 
     @pytest.mark.parametrize("workers", [1, 2])
