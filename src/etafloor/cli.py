@@ -18,7 +18,7 @@ import re
 import sys
 
 from .decomposition import DEFAULT_THETA, decompose_from_eta
-from .eta import ENGINES, ComplexPoint, eta_eval, eta_line, parameter_error
+from .eta import ENGINES, ComplexPoint, eta_eval
 from .exceptions import DomainError, EtaFloorError
 from .propositions import run_all_suites
 from .reporting import (
@@ -31,8 +31,8 @@ from .reporting import (
     serialize_report,
     write_report_bytes,
 )
-from .scanner import (DEFAULT_SCAN_TOL, DEFAULT_ZERO_TOL, _grid_count, _raise_first_error,
-                      scan_grid, scan_line, survey_zeros, zero_geometry)
+from .scanner import (DEFAULT_SCAN_TOL, DEFAULT_ZERO_TOL, decompose_line, scan_grid, scan_line,
+                      survey_zeros, zero_geometry)
 
 __all__ = ["UsageError", "parse_args", "main"]
 
@@ -216,19 +216,11 @@ def _run_props(cfg: argparse.Namespace) -> int:
 
 def _run_pca(cfg: argparse.Namespace) -> int:
     if cfg.s is not None:
-        points = [cfg.s]
+        rows = (decompose_from_eta(cfg.s, eta_eval(cfg.s, cfg.tol, cfg.engine).value, cfg.theta),)
     else:
-        alpha = cfg.alpha_range[0]
-        # refuse tol and engine before the point list is built
-        if (error := parameter_error(alpha, cfg.tol, cfg.engine)) is not None:
-            raise error
-        lo, hi = cfg.beta_range
         step = 1.0 if cfg.step is None else cfg.step
-        count = _grid_count(lo, hi, step)
-        points = [ComplexPoint(alpha, lo + i * step) for i in range(count)]
-    results = eta_line(points[0].alpha, [p.beta for p in points], cfg.tol, cfg.engine)
-    _raise_first_error(results)
-    rows = tuple(decompose_from_eta(p, res.value, cfg.theta) for p, res in zip(points, results))
+        rows = tuple(decompose_line(cfg.alpha_range[0], *cfg.beta_range, step, cfg.tol,
+                                    theta=cfg.theta, engine=cfg.engine))
     _emit(PcaReport(tol=cfg.tol, rows=rows), cfg)
     return EXIT_OK
 

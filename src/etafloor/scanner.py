@@ -12,10 +12,13 @@ marks as leading.
 
 Scans are deterministic: the beta grid is an index formula, every block of
 BLOCK_POINTS grid indices is one task (in-process or in a process pool, which
-only caps how many run at once), results merge in ascending beta order, and
+only caps how many run at once and holds at most two tasks per process
+ahead of the one awaited), results merge in ascending beta order, and
 every local minimum is refined by golden section, all basins of a line in
 lockstep as one more task of the same pool (the refined samples join the
 report so the reported minimum is the minimum over the report's samples).
+``decompose_line`` samples the same grid, in-process, into the tail
+decompositions of the pca command.
 
 Zero location runs the same machinery on f(t) = |eta(1/2 + i t)| with a much
 finer abscissa resolution, and accepts an ordinate only when the residual is
@@ -23,7 +26,8 @@ below tolerance and the two accelerated engines agree at it.  The zero survey
 keeps no list as long as its grid: each block is folded into basin indices as
 it arrives, holding only the last two grid values across a block edge, and
 the basins are refined in contiguous lockstep chunks, one task each of the
-pool that sampled the grid.
+pool that sampled the grid.  A survey stops at its first failed block, and
+the pool's tasks not yet started are cancelled.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
-from .decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
+from .decomposition import (DEFAULT_THETA, LeadingComponent, TailDecomposition, decompose_from_eta,
+                            second_term, tail_bound)
 from .eta import (
     BLOCK_POINTS,
     ComplexPoint,
@@ -71,6 +76,7 @@ __all__ = [
     "bound_floor",
     "scan_line",
     "scan_grid",
+    "decompose_line",
     "golden_section_min",
     "locate_zero",
     "survey_zeros",
@@ -196,6 +202,10 @@ def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
 
 def _abs_value(p: ComplexPoint, res: EvalResult) -> float:
     return abs(res.value)
+
+
+def _decomposition(theta: float, p: ComplexPoint, res: EvalResult) -> TailDecomposition:
+    return decompose_from_eta(p, res.value, theta)
 
 
 # ----------------------------------------------------------------------------
@@ -502,6 +512,27 @@ def scan_grid(
     alphas = [a_lo + j * alpha_step for j in range(_grid_count(a_lo, a_hi, alpha_step))]
     return GridReport.from_lines(
         _scan_lines(alphas, beta_range[0], beta_range[1], beta_step, tol, workers, engine))
+
+
+def decompose_line(
+    alpha: float,
+    beta_min: float,
+    beta_max: float,
+    step: float,
+    tol: float,
+    *,
+    theta: float = DEFAULT_THETA,
+    engine: str = "checked",
+) -> list[TailDecomposition]:
+    """The tail decomposition at theta of eta(alpha + i beta) on the scan
+    grid beta_min + k*step, in order, sampled block by block in-process; the
+    first point that fails raises its error when its block is evaluated."""
+    if (error := parameter_error(alpha, tol, engine)) is not None:
+        raise error
+    count = _grid_count(beta_min, beta_max, step)
+    blocks = _sample_lines(map, partial(_decomposition, theta), (alpha,), beta_min, step, count,
+                           tol, engine)
+    return list(_certified(rows[0] for rows in blocks))
 
 
 # ----------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from etafloor.decomposition import LeadingComponent, second_term, tail_bound
+from etafloor.decomposition import LeadingComponent, decompose_from_eta, second_term, tail_bound
 import etafloor.eta as eta_mod
 from etafloor.eta import ComplexPoint, EvalResult, eta_eval, eta_line
 from etafloor.exceptions import (
@@ -32,6 +32,7 @@ from etafloor.scanner import (
     _local_minima,
     _refine_basins,
     bound_floor,
+    decompose_line,
     golden_section_min,
     locate_zero,
     scan_grid,
@@ -622,6 +623,14 @@ class TestScanGrid:
         assert grids[0].lines[0].failures and grids[0].lines[2].samples
         for fmt in ("csv", "json"):
             assert serialize_report(grids[1], fmt) == serialize_report(grids[0], fmt)
+
+
+class TestDecomposeLine:
+    def test_rows_equal_one_point_decompositions(self):
+        # 401 grid points, 4 blocks
+        points = [ComplexPoint(0.5, k * 0.75) for k in range(401)]
+        assert decompose_line(0.5, 0.0, 300.0, 0.75, 1e-10, theta=0.3) == [
+            decompose_from_eta(p, eta_eval(p, 1e-10).value, 0.3) for p in points]
 
 
 class TestZeros:
