@@ -514,16 +514,9 @@ def scan_grid(
         _scan_lines(alphas, beta_range[0], beta_range[1], beta_step, tol, workers, engine))
 
 
-def decompose_line(
-    alpha: float,
-    beta_min: float,
-    beta_max: float,
-    step: float,
-    tol: float,
-    *,
-    theta: float = DEFAULT_THETA,
-    engine: str = "checked",
-) -> list[TailDecomposition]:
+def decompose_line(alpha: float, beta_min: float, beta_max: float, step: float, tol: float,
+                   *, theta: float = DEFAULT_THETA,
+                   engine: str = "checked") -> list[TailDecomposition]:
     """The tail decomposition at theta of eta(alpha + i beta) on the scan
     grid beta_min + k*step, in order, sampled block by block in-process; the
     first point that fails raises its error when its block is evaluated."""
