@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 BASE_SLACK = 1e-12
+CASE_BLOCK_VALUES = 1 << 13  # values per array of a campaign's case block: 64 KB of float64
 
 
 def _slack(x1, x2=0.0):
@@ -248,7 +249,7 @@ def run_prop2_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     worst = 0.0
     failures = 0
-    chunk = 512
+    chunk = CASE_BLOCK_VALUES // t.size
     for i0 in range(0, cases, chunk):
         aa = a[i0 : i0 + chunk, None]
         bb = b[i0 : i0 + chunk, None]
@@ -291,7 +292,7 @@ def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     Families (all completely monotone, so the Chebyshev reference limit is
     rigorous): n^(-p), geometric q^n, and shifted power (n+c)^(-p).  Each
     case's family and parameters are drawn in turn; the sequences are then
-    checked as arrays, 512 cases at a time.
+    checked as arrays, a block of CASE_BLOCK_VALUES // 64 cases at a time.
     """
     max_m = 50  # |S_m| <= a_m is checked for m <= max_m
     rng = _campaign_rng(cases, seed)
@@ -310,7 +311,7 @@ def run_prop5_suite(cases: int = 10_000, seed: int = 0) -> PropSuiteResult:
     n = np.arange(1.0, 65.0)  # the reference sum's 64 terms; a_n for n <= max_m + 1 head them
     failures = 0
     worst = 0.0
-    chunk = 512
+    chunk = CASE_BLOCK_VALUES // n.size
     for i0 in range(0, cases, chunk):
         f = family[i0 : i0 + chunk]
         pk, qk, ck = (x[i0 : i0 + chunk, None] for x in (p, q, c))

@@ -26,8 +26,10 @@ below tolerance and the two accelerated engines agree at it.  The zero survey
 keeps no list as long as its grid: each block is folded into basin indices as
 it arrives, holding only the last two grid values across a block edge, and
 the basins are refined in contiguous lockstep chunks, one task each of the
-pool that sampled the grid.  A survey stops at its first failed block, and
-the pool's tasks not yet started are cancelled.
+pool that sampled the grid.  A survey stops at its first failed block: the
+block raises its error where it was sampled, and the pool skips every later
+block that has not started.  The pool class is imported when the first pool
+starts, so a run in one process never loads it.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ import math
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Sequence
 
 from .decomposition import (DEFAULT_THETA, LeadingComponent, TailDecomposition, decompose_from_eta,
                             second_term, tail_bound)
@@ -65,6 +66,10 @@ from .exceptions import (
     NonConvergenceError,
     NoZeroFoundError,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.sharedctypes import Synchronized
 
 __all__ = [
     "BoundSample",
@@ -200,12 +205,25 @@ def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
     )
 
 
-def _abs_value(p: ComplexPoint, res: EvalResult) -> float:
-    return abs(res.value)
+def _scan_row(p: ComplexPoint, res: EvalResult | EtaFloorError) -> BoundSample | EtaFloorError:
+    """The scan's row at p: its BoundSample, or the EtaFloorError kept as a failure row."""
+    return res if isinstance(res, EtaFloorError) else _bound_sample(p, res)
 
 
-def _decomposition(theta: float, p: ComplexPoint, res: EvalResult) -> TailDecomposition:
-    return decompose_from_eta(p, res.value, theta)
+def _certified_value(res: EvalResult | EtaFloorError) -> complex:
+    """eta's value from res; a failed point raises its EtaFloorError."""
+    if isinstance(res, EtaFloorError):
+        raise res
+    return res.value
+
+
+def _abs_value(p: ComplexPoint, res: EvalResult | EtaFloorError) -> float:
+    return abs(_certified_value(res))
+
+
+def _decomposition(theta: float, p: ComplexPoint,
+                   res: EvalResult | EtaFloorError) -> TailDecomposition:
+    return decompose_from_eta(p, _certified_value(res), theta)
 
 
 # ----------------------------------------------------------------------------
@@ -216,12 +234,13 @@ def _grid_block(row: Callable, alphas: tuple[float, ...], lo: float, step: float
                 tol: float, engine: str, k0: int) -> list[list]:
     """Per line alpha, row(p, eta(p)) at p = alpha + i(lo + k*step) for the
     grid indices k of the block k0..k0+BLOCK_POINTS-1 below count, from one
-    eta_lines call, so the lines share the block's phases.  The EtaFloorError
-    stands where a point failed, so it crosses a process pool as a value.
+    eta_lines call, so the lines share the block's phases.  eta(p) is the
+    EvalResult or the EtaFloorError of the point, and row either keeps an
+    error as a row (a scan) or raises it, the block's first in line and
+    point order (the zero survey and pca, which stop there).
     `row` must be a module-level function."""
     betas = [lo + k * step for k in range(k0, min(k0 + BLOCK_POINTS, count))]
-    return [[res if isinstance(res, EtaFloorError) else row(ComplexPoint(alpha, beta), res)
-             for beta, res in zip(betas, results)]
+    return [[row(ComplexPoint(alpha, beta), res) for beta, res in zip(betas, results)]
             for alpha, results in zip(alphas, eta_lines(alphas, betas, tol, engine))]
 
 
@@ -234,27 +253,74 @@ def _pool_size(workers: int, count: int) -> int:
     return min(int(workers), len(range(0, count, BLOCK_POINTS)), cpus or 1)
 
 
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first use: only a pool of two or more
+    processes needs it, so a run that starts none never loads
+    concurrent.futures.process or multiprocessing."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+_last_task: Synchronized | None = None  # in a pool process: the last task index still needed
+
+
+def _share_last_task(last_task: Synchronized) -> None:
+    """Pool initializer: keep the shared index of the last task the pool still needs."""
+    global _last_task
+    _last_task = last_task
+
+
+def _pool_task(fn: Callable, numbered: tuple[int, object]):
+    """fn(task) for the i-th task of a pool, numbered = (i, task), or None at
+    once if i is past the shared index of the last task still needed.  The
+    owner sets that index to -1 when it stops reading, and a task that raises
+    lowers it to its own i: the owner reads results in order and stops at
+    that error, and every task before it has already started."""
+    i, task = numbered
+    if _last_task is not None and i > _last_task.value:
+        return None
+    try:
+        return fn(task)
+    except BaseException:
+        if _last_task is not None:
+            with _last_task.get_lock():
+                _last_task.value = min(_last_task.value, i)
+        raise
+
+
 @contextmanager
 def _task_map(processes: int) -> Iterator[Callable]:
     """The builtin map, or a map through one pool of that many processes that
     keeps at most 2 tasks per process submitted ahead of its consumer.
-    Leaving the context cancels the tasks not yet started, so a consumer that
-    stops at an error waits only for the running ones."""
+    A task that raises ends the context, as its consumer re-raises the error
+    on reaching it; the pool's processes skip every later task, and leaving
+    the context cancels those still held in this process, so a consumer that
+    stops at an error waits only for the tasks running then."""
     if processes <= 1:
         yield map
         return
-    pool = ProcessPoolExecutor(max_workers=processes)
+    import multiprocessing
+
+    last_task = multiprocessing.Value("q", sys.maxsize)
+    # looked up on the module, which imports the class on first use; a replacement set there is used
+    pool = sys.modules[__name__].ProcessPoolExecutor(
+        max_workers=processes, initializer=_share_last_task, initargs=(last_task,))
     try:
         yield partial(_window_map, pool, 2 * processes)
     finally:
+        last_task.value = -1
         pool.shutdown(cancel_futures=True)
 
 
 def _window_map(pool: ProcessPoolExecutor, window: int, fn: Callable,
                 tasks: Iterable) -> Iterator:
     """fn of each task, in order, run by pool with at most `window` tasks
-    submitted besides the one whose result is awaited."""
-    tasks = iter(tasks)
+    submitted besides the one whose result is awaited; the pool's tasks are
+    numbered in submission order (see _pool_task)."""
+    fn = partial(_pool_task, fn)
+    tasks = enumerate(tasks)
     futures = deque(pool.submit(fn, task) for task in islice(tasks, window))
     while futures:
         future = futures.popleft()
@@ -418,7 +484,7 @@ def _scan_lines(alphas: Sequence[float], beta_min: float, beta_max: float, step:
     count = _grid_count(beta_min, beta_max, step)
     with _task_map(_pool_size(workers, count)) as task_map:
         lines: list[list] = [[] for _ in alphas]
-        for rows in _sample_lines(task_map, _bound_sample, alphas, beta_min, step, count,
+        for rows in _sample_lines(task_map, _scan_row, alphas, beta_min, step, count,
                                   eval_tol, engine):
             for line, part in zip(lines, rows):
                 line.extend(part)
@@ -525,7 +591,7 @@ def decompose_line(alpha: float, beta_min: float, beta_max: float, step: float, 
     count = _grid_count(beta_min, beta_max, step)
     blocks = _sample_lines(map, partial(_decomposition, theta), (alpha,), beta_min, step, count,
                            tol, engine)
-    return list(_certified(rows[0] for rows in blocks))
+    return [dec for rows in blocks for dec in rows[0]]
 
 
 # ----------------------------------------------------------------------------
@@ -568,7 +634,7 @@ def _zero_candidates(
     with _task_map(processes) as task_map:
         blocks = _sample_lines(task_map, _abs_value, (0.5,), t_lo, grid_step, count, eval_tol,
                                engine)
-        basins = _local_minima(_certified(rows[0] for rows in blocks))
+        basins = _local_minima(value for rows in blocks for value in rows[0])
         # contiguous chunks of basins, each refined in lockstep as one task
         n, chunks = len(basins), min(processes, len(basins)) or 1
         refine = partial(_refine_basins, alpha=0.5, lo=t_lo, step=grid_step,
@@ -580,14 +646,6 @@ def _zero_candidates(
     return [ZeroRecord(t, residual := abs(res.value),
                        _engine_gap_at(t, eval_tol) if residual < tol else math.inf, (t_lo, t_hi))
             for _, t, res in refined]
-
-
-def _certified(blocks: Iterable[list]) -> Iterator[float]:
-    """The values of blocks in order; the first EtaFloorError among them is
-    raised as soon as its block arrives."""
-    for block in blocks:
-        _raise_first_error(block)
-        yield from block
 
 
 def _raise_first_error(results: Sequence) -> None:

@@ -25,3 +25,10 @@ def test_package_root_exports_nothing():
     # import each name from its module: from etafloor.eta import eta_eval
     code = "import etafloor; print([n for n in vars(etafloor) if not n.startswith('_')])"
     assert fresh_interpreter(code) == "[]"
+
+
+def test_cli_import_leaves_out_the_pool_machinery():
+    # only a run that starts a process pool pays for importing one
+    code = ("import sys, etafloor.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    assert fresh_interpreter(code) == "[]"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import etafloor.propositions as propositions_mod
 from etafloor.exceptions import DomainError
 from etafloor.propositions import (
     EllipseParams,
@@ -348,3 +350,28 @@ class TestSuites:
             PropSuiteResult("prop4", 10_000, 0, 1.0295875648765404e-15, 4),
             PropSuiteResult("prop5", 10_000, 0, 4.440156363217627e-16, 5),
         ]
+
+
+class TestCampaignBlocks:
+    """prop2 and prop5 check their cases in blocks of CASE_BLOCK_VALUES values
+    per array: the results do not depend on the block size, and the memory
+    beyond the seeded draws does not grow with the case count."""
+
+    @pytest.mark.parametrize("block_values", [1 << 10, 1 << 17])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, block_values):
+        expected = [run_prop2_suite(3000, 7), run_prop5_suite(3000, 8)]
+        monkeypatch.setattr(propositions_mod, "CASE_BLOCK_VALUES", block_values)
+        assert [run_prop2_suite(3000, 7), run_prop5_suite(3000, 8)] == expected
+
+    @pytest.mark.parametrize("suite", [run_prop2_suite, run_prop5_suite])
+    def test_peak_beyond_the_draws_is_bounded(self, suite):
+        suite(100)  # load the generator and fill the weight caches untraced
+        tracemalloc.start()
+        try:
+            suite(10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each campaign holds four 8-byte draws per case while its blocks run;
+        # blocks of 512 cases took 1.1 MB (prop5) and 5.1 MB (prop2) beyond them
+        assert peak - 4 * 8 * 10_000 < 768 << 10

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import time
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from etafloor.scanner import (
     _grid_count,
     _local_minima,
     _refine_basins,
+    _task_map,
     bound_floor,
     decompose_line,
     golden_section_min,
@@ -49,6 +52,16 @@ ZERO_T1 = 14.134725
 ZERO_T2 = 21.022040
 ZERO_T3 = 25.010858
 ABS_FLOOR_2 = 2.0 - math.pi**2 / 6.0  # 1 - sum_{n>=2} n^(-2) = 0.3550659...
+
+
+def _marked_block(directory: str, k: int) -> list:
+    """A pool task standing in for grid block k of a zero survey: block 0
+    raises at once, any other block leaves a marker file named k after 0.5 s."""
+    if k == 0:
+        raise NonConvergenceError("block 0 failed")
+    time.sleep(0.5)
+    Path(directory, str(k)).touch()
+    return [k]
 
 
 def _usable_cpus() -> int:
@@ -358,20 +371,25 @@ class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the tasks
     submitted to it, one list per mapped function (a grid block by its first
     index, a line's refinement by its alpha, a survey's refinement chunk by
-    its basin indices), and runs each in-process as it is submitted."""
+    its basin indices), and runs each in-process as it is submitted, keeping
+    its result or its error in its future."""
 
     def __init__(self, calls: list, max_workers: int):
         self.calls = calls
         self.fn = None
         calls.append([max_workers])
 
-    def submit(self, fn, task):
+    def submit(self, fn, numbered):
         if fn is not self.fn:
             self.fn = fn
             self.calls[-1].append([])
+        _, task = numbered  # the pool numbers its tasks in submission order
         self.calls[-1][-1].append(task[0] if isinstance(task, tuple) else task)
         future = Future()
-        future.set_result(fn(task))
+        try:
+            future.set_result(fn(numbered))
+        except EtaFloorError as error:
+            future.set_exception(error)
         return future
 
     def shutdown(self, wait=True, *, cancel_futures=False):
@@ -388,8 +406,10 @@ class TestPoolSize:
         import etafloor.scanner as scanner_mod
 
         calls: list = []
+        # the pool's initializer is not run: it would leave a pool process's
+        # shared task index in this process
         monkeypatch.setattr(scanner_mod, "ProcessPoolExecutor",
-                            lambda max_workers: _RecordingPool(calls, max_workers))
+                            lambda max_workers, **pool_args: _RecordingPool(calls, max_workers))
         return calls
 
     @staticmethod
@@ -741,6 +761,18 @@ class TestZeros:
     def test_pooled_survey_memory_does_not_grow_with_the_grid(self):
         # one future per grid block, submitted up front, would be about 370 KB
         assert self.survey_peak_growth(2) < 64 << 10
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="a real pool needs 2 usable CPUs")
+    def test_pooled_survey_runs_no_queued_block_after_its_failure(self, tmp_path):
+        # block 0 fails at once, while the executor's call queue already holds
+        # blocks 2..4, out of reach of cancelling, and the process that ran
+        # block 0 takes block 2 before the failure is read; only block 1, if
+        # the other process started it before block 0 failed, may still run
+        blocks = partial(_marked_block, str(tmp_path))
+        with pytest.raises(NonConvergenceError, match="^block 0 failed$"), \
+                _task_map(2) as task_map:
+            list(task_map(blocks, range(12)))
+        assert len(list(tmp_path.iterdir())) <= 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_survey_raises_first_uncertified_point(self, workers):
