@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import time
 import tracemalloc
@@ -645,6 +646,43 @@ class TestScanGrid:
             assert serialize_report(grids[1], fmt) == serialize_report(grids[0], fmt)
 
 
+def _head_plan(zs: list, tol: float) -> tuple[list, list, list]:
+    """A plain alternating head sum, for alpha > 1: N = ceil((2/tol)^(1/alpha))
+    terms, whose remainder is at most (N+1)^(-alpha) <= tol/2."""
+    terms = [math.ceil((2.0 / tol) ** (1.0 / z.real)) for z in zs]
+    return terms, terms, [None] * len(zs)
+
+
+def _head_reduce(pows, absp, zs: list, n: int, tol: float, data: list) -> list:
+    signs = [1.0, -1.0] * (n // 2) + [1.0] * (n % 2)
+    return [(value, (n + 1.0) ** -z.real, n)
+            for z, value in zip(zs, (signs * pows).sum(axis=1).tolist())]
+
+
+class TestNewEngine:
+    """An engine is a row of the table of parts: registering one plain head
+    sum is all the evaluation path and the scanner need."""
+
+    @pytest.fixture
+    def head(self, monkeypatch):
+        monkeypatch.setitem(eta_mod._ENGINE_PARTS, "head", ((_head_plan, _head_reduce),))
+        monkeypatch.setattr(eta_mod, "ENGINES", (*eta_mod.ENGINES, "head"))
+        return "head"
+
+    def test_value_within_tol_of_checked(self, head):
+        res = eta_eval(2 + 3j, 1e-6, head)
+        assert (res.method, res.terms_used) == (head, 1415)
+        assert abs(res.value - eta_eval(2 + 3j, 1e-6).value) <= 1e-6
+
+    def test_scan_refines_its_basin(self, head):
+        report = scan_line(2.0, 7.0, 10.0, 0.01, engine=head)
+        assert len(report.samples) == 302  # 301 grid rows and one refined minimum
+        assert not report.failures
+        if multiprocessing.get_context().get_start_method() != "fork":
+            pytest.skip("pool processes see the registered engine only when forked")
+        assert scan_line(2.0, 7.0, 10.0, 0.01, engine=head, workers=2) == report
+
+
 class TestDecomposeLine:
     def test_rows_equal_one_point_decompositions(self):
         # 401 grid points, 4 blocks
@@ -677,6 +715,27 @@ class TestZeros:
         assert ts[0] == pytest.approx(ZERO_T1, abs=1e-5)
         assert ts[1] == pytest.approx(ZERO_T2, abs=1e-5)
         assert ts[2] == pytest.approx(ZERO_T3, abs=1e-5)
+
+    # float.hex of each engine_gap of survey_zeros(0, 60, tol): the refined
+    # ordinates, and so the gaps, are the same under every engine
+    ENGINE_GAPS = {
+        1e-8: ("0x1.cc00000000000p-49", "0x1.e90c4d5369715p-52", "0x1.9b9c891eb4fc2p-51",
+               "0x1.d845675f37931p-51", "0x1.1fc23241e9ce0p-48", "0x1.7e33009dbd5e9p-48",
+               "0x1.16b5e5a496ae8p-47", "0x1.2527559b00107p-47", "0x1.d2cccd8081298p-48",
+               "0x1.5d69ee74d28a9p-49", "0x1.b82d7204480ffp-48", "0x1.1e5b5b0820287p-48",
+               "0x1.6ad3a5d7687a8p-47"),
+        1e-6: ("0x1.b412c993adf29p-49", "0x1.e90c4d5369715p-52", "0x1.a4e4efeda34dep-53",
+               "0x1.accd906dde12bp-51", "0x1.91d647b4ae3bbp-49", "0x1.329f50abcaf38p-48",
+               "0x1.b5a39d6aaa499p-48", "0x1.22173245b4ca4p-47", "0x1.cc52e47f1daafp-48",
+               "0x1.350ee94573180p-49", "0x1.6360f65d22466p-47", "0x1.b53f3ff677b6cp-49",
+               "0x1.29c6a9bb7a2a4p-47"),
+    }
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    @pytest.mark.parametrize("engine", ["checked", "euler", "accel"])
+    def test_pinned_engine_gaps(self, engine, tol):
+        records = survey_zeros(0.0, 60.0, tol, engine=engine)
+        assert tuple(r.engine_gap.hex() for r in records) == self.ENGINE_GAPS[tol]
 
     def test_survey_worker_determinism(self):
         r1 = survey_zeros(13.0, 22.0, 1e-8, workers=1)
