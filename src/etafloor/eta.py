@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -110,12 +110,14 @@ class ComplexPoint:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A complex function value plus its error certificate."""
+    """A complex function value plus its error certificate; a checked result
+    also carries its cross-check gap, which is neither compared nor reported."""
 
     value: complex
     abs_error_estimate: float
     method: str  # "partial" | "euler" | "accel"
     terms_used: int
+    gap: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.abs_error_estimate) or self.abs_error_estimate < 0:
@@ -500,7 +502,7 @@ def _checked(z: complex, euler: tuple, accel: tuple) -> EvalResult | CrossCheckE
         )
     # the Euler estimate is within tol here, so the smaller one is too
     value, est, _, method = (*euler, "euler") if euler[1] <= accel[1] else (*accel, "accel")
-    return EvalResult(value, est, method, euler[2] + accel[2])
+    return EvalResult(value, est, method, euler[2] + accel[2], gap)
 
 
 def _euler_plan(zs: list[complex], tol: float) -> tuple[list, list, list]:

@@ -99,10 +99,11 @@ _INLINED = {(EvalReport, "result")}
 
 @functools.cache
 def _plan(cls) -> tuple[tuple[str, bool, typing.Any, typing.Callable], ...]:
-    """(field name = JSON key, inlined, type, reader) per field, in declared order."""
+    """(field name = JSON key, inlined, type, reader) per compared field, in
+    declared order; a field left out of comparison is left out of the report."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, (cls, f.name) in _INLINED, hints[f.name], _reader(hints[f.name]))
-                 for f in dataclasses.fields(cls))
+                 for f in dataclasses.fields(cls) if f.compare)
 
 
 def _json_default(value, out: dict | None = None):

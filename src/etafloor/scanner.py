@@ -50,10 +50,7 @@ from .eta import (
     BLOCK_POINTS,
     ComplexPoint,
     EvalResult,
-    accel_stages_for,
-    eta_accel,
     eta_eval,
-    eta_euler,
     eta_line,
     eta_lines,
     parameter_error,
@@ -598,13 +595,6 @@ def decompose_line(alpha: float, beta_min: float, beta_max: float, step: float, 
 # critical-line zeros
 # ----------------------------------------------------------------------------
 
-def _engine_gap_at(t: float, eval_tol: float) -> float:
-    s = ComplexPoint(0.5, t)
-    v1 = eta_euler(s, eval_tol).value
-    v2 = eta_accel(s, accel_stages_for(s, eval_tol)).value
-    return abs(v1 - v2)
-
-
 def _zero_candidates(
     t_lo: float, t_hi: float, tol: float, grid_step: float, workers: int, engine: str,
     whole: tuple[float, float] | None = None,
@@ -617,10 +607,11 @@ def _zero_candidates(
     index, if any, raises its error when its block arrives.  The basins are
     refined by golden section in min(processes, basins) contiguous chunks,
     each in lockstep as one task of the pool that sampled the grid (then the
-    failed basin of lowest index, if any, raises its error), and the
-    Euler/Chebyshev gap is measured wherever the residual is below tol
-    (elsewhere it is inf).  A grid without interior minima refines the
-    bracket `whole`, if given.
+    failed basin of lowest index, if any, raises its error).  One checked
+    evaluation of every refined ordinate whose residual is below tol gives
+    its Euler/Chebyshev gap (elsewhere the gap is inf); an error there other
+    than the engines' disagreement raises, the lowest ordinate's first.  A
+    grid without interior minima refines the bracket `whole`, if given.
     """
     if (error := parameter_error(0.5, tol, engine)) is not None:
         raise error
@@ -643,8 +634,12 @@ def _zero_candidates(
                                   for k in range(chunks)])
         refined = [basin for part in parts for basin in part]
     _raise_first_error([res for _, _, res in refined])
-    return [ZeroRecord(t, residual := abs(res.value),
-                       _engine_gap_at(t, eval_tol) if residual < tol else math.inf, (t_lo, t_hi))
+    candidates = [t for _, t, res in refined if abs(res.value) < tol]
+    checks = eta_line(0.5, candidates, eval_tol, "checked")
+    _raise_first_error([check for check in checks if not isinstance(check, CrossCheckError)])
+    gaps = (check.gap for check in checks)  # a CrossCheckError carries its gap too
+    return [ZeroRecord(t, residual := abs(res.value), next(gaps) if residual < tol else math.inf,
+                       (t_lo, t_hi))
             for _, t, res in refined]
 
 

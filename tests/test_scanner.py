@@ -841,9 +841,11 @@ class TestZeros:
     def test_engine_disagreement_at_a_zero_is_a_cross_check_error(self, monkeypatch):
         import etafloor.scanner as scanner_mod
 
-        monkeypatch.setattr(scanner_mod, "_engine_gap_at", lambda t, eval_tol: 1.0)
+        # the euler engine refines without a cross-check; the gap comes from the checked one
+        monkeypatch.setattr(eta_mod, "_checked", lambda z, euler, accel: CrossCheckError(
+            "injected", gap=1.0, budget=0.0))
         with pytest.raises(CrossCheckError) as info:
-            locate_zero(14.0, 14.3, 1e-8)
+            locate_zero(14.0, 14.3, 1e-8, engine="euler")
         assert (info.value.gap, info.value.budget) == (1.0, scanner_mod.ZERO_ENGINE_GAP_LIMIT)
 
     def test_survey_raises_the_lowest_failed_basin(self, monkeypatch):
