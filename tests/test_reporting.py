@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -73,6 +74,18 @@ class TestRoundTrip:
         report = EvalReport(s, 1e-10, "checked", eta_eval(s, 1e-10))
         parsed = parse_report_json(serialize_report(report, "json"))
         assert parsed == report
+
+    def test_cross_check_gap_is_not_reported(self):
+        s = ComplexPoint(0.5, 14.1)
+        result = eta_eval(s, 1e-10)
+        assert result.gap is not None
+        with_gap = EvalReport(s, 1e-10, "checked", result)
+        without_gap = EvalReport(s, 1e-10, "checked", dataclasses.replace(result, gap=None))
+        for fmt in ("json", "csv"):
+            assert serialize_report(with_gap, fmt) == serialize_report(without_gap, fmt)
+        data = serialize_report(with_gap, "json")
+        assert "gap" not in json.loads(data)
+        assert parse_report_json(data) == with_gap
 
     def test_props(self):
         report = PropsReport(cases=50, seed=3, rows=tuple(run_all_suites(50, 3)))
