@@ -202,9 +202,10 @@ def _bound_sample(p: ComplexPoint, res: EvalResult) -> BoundSample:
     )
 
 
-def _scan_row(p: ComplexPoint, res: EvalResult | EtaFloorError) -> BoundSample | EtaFloorError:
-    """The scan's row at p: its BoundSample, or the EtaFloorError kept as a failure row."""
-    return res if isinstance(res, EtaFloorError) else _bound_sample(p, res)
+def _scan_row(p: ComplexPoint, res: EvalResult | EtaFloorError) -> BoundSample | ScanFailure:
+    """The scan's row at p: its BoundSample, or the ScanFailure of its EtaFloorError."""
+    return (ScanFailure(p, type(res).__name__, str(res)) if isinstance(res, EtaFloorError)
+            else _bound_sample(p, res))
 
 
 def _certified_value(res: EvalResult | EtaFloorError) -> complex:
@@ -233,8 +234,8 @@ def _grid_block(row: Callable, alphas: tuple[float, ...], lo: float, step: float
     grid indices k of the block k0..k0+BLOCK_POINTS-1 below count, from one
     eta_lines call, so the lines share the block's phases.  eta(p) is the
     EvalResult or the EtaFloorError of the point, and row either keeps an
-    error as a row (a scan) or raises it, the block's first in line and
-    point order (the zero survey and pca, which stop there).
+    error as a row (a scan's ScanFailure) or raises it, the block's first in
+    line and point order (the zero survey and pca, which stop there).
     `row` must be a module-level function."""
     betas = [lo + k * step for k in range(k0, min(k0 + BLOCK_POINTS, count))]
     return [[row(ComplexPoint(alpha, beta), res) for beta, res in zip(betas, results)]
@@ -502,16 +503,15 @@ def _refine_line(lo: float, step: float, tol: float, engine: str, line: tuple) -
 
 def _line_report(alpha: float, beta_min: float, beta_max: float, step: float, tol: float,
                  rows: list, basins: list) -> LineScanReport:
-    """The report of one line from its grid rows (a BoundSample or the
-    EtaFloorError of each grid point) and refined basins (_refine_basins)."""
+    """The report of one line from its grid rows (_scan_row of each grid
+    point) and refined basins (_refine_basins)."""
     samples = [row for row in rows if isinstance(row, BoundSample)]
-    failures = [ScanFailure(ComplexPoint(alpha, beta_min + i * step), type(row).__name__, str(row))
-                for i, row in enumerate(rows) if isinstance(row, EtaFloorError)]
+    failures = [row for row in rows if isinstance(row, ScanFailure)]
     refined: list[BoundSample] = []
     for i, x, res in basins:
         # a failed probe ends its basin, which keeps its grid sample
         if isinstance(res, EtaFloorError):
-            failures.append(ScanFailure(ComplexPoint(alpha, x), type(res).__name__, str(res)))
+            failures.append(_scan_row(ComplexPoint(alpha, x), res))
         # keep only genuine improvements over the basin's grid sample (a probe that
         # lands on a grid beta gets its bits, and no grid sample in the bracket is lower)
         elif abs(res.value) < rows[i].eta_abs:
